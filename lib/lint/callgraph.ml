@@ -42,7 +42,7 @@ type source = { s_kind : string; s_what : string; s_loc : Location.t }
 type alloc = { a_what : string; a_loc : Location.t; a_allows : string list }
 
 type psite = {
-  p_fn : string;  (* map | map_list | map_traced | map_env | map_result *)
+  p_fn : string;  (* map_result *)
   p_loc : Location.t;
   p_allows : string list;
   p_refs : (string list * string list list) list;  (* (path, opens) from task + env args *)
@@ -185,7 +185,11 @@ let mutable_kind_of rhs =
     | _ -> None)
   | _ -> None
 
-let parallel_fns = [ "map"; "map_list"; "map_traced"; "map_env"; "map_result" ]
+(* The fan-out entry points of [Parallel]: the functions that run a
+   closure on other domains. [join_results] only unwraps cells, and a
+   [~cache]'s find/store run on the calling domain, so neither is a
+   task body. *)
+let parallel_fns = [ "map_result" ]
 
 let parallel_fn_of parts =
   match List.rev parts with
@@ -779,18 +783,7 @@ let build (files : file_facts list) =
 (* ------------------------------------------------------------------ *)
 (* Export                                                             *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Psn_det.Json
 
 let loc_line (loc : Location.t) = loc.Location.loc_start.Lexing.pos_lnum
 
@@ -803,10 +796,10 @@ let pp_json ppf t =
     (fun i n ->
       if i > 0 then Format.fprintf ppf ",";
       Format.fprintf ppf "@.  {\"id\":%d,\"name\":\"%s\",\"file\":\"%s\",\"line\":%d,\"col\":%d"
-        n.n_id (json_escape n.n_name) (json_escape n.n_file) n.n_line n.n_col;
+        n.n_id (Json.escape n.n_name) (Json.escape n.n_file) n.n_line n.n_col;
       if n.n_hot then Format.fprintf ppf ",\"hot\":true";
       (match n.n_mutable with
-      | Some kind -> Format.fprintf ppf ",\"mutable\":\"%s\"" (json_escape kind)
+      | Some kind -> Format.fprintf ppf ",\"mutable\":\"%s\"" (Json.escape kind)
       | None -> ());
       Format.fprintf ppf "}")
     t.nodes;
@@ -822,7 +815,7 @@ let pp_json ppf t =
     (fun i s ->
       if i > 0 then Format.fprintf ppf ",";
       Format.fprintf ppf "@.  {\"node\":%d,\"fn\":\"%s\",\"line\":%d,\"col\":%d}" s.r_node
-        (json_escape s.r_fn) (loc_line s.r_loc) (loc_col s.r_loc))
+        (Json.escape s.r_fn) (loc_line s.r_loc) (loc_col s.r_loc))
     t.sites;
   Format.fprintf ppf "@.]}@."
 
@@ -838,8 +831,8 @@ let pp_dot ppf t =
           | Some _ -> ",style=filled,fillcolor=\"#ffcccc\""
           | None -> ""
       in
-      Format.fprintf ppf "  n%d [label=\"%s\\n%s:%d\"%s];@." n.n_id (json_escape n.n_name)
-        (json_escape n.n_file) n.n_line style)
+      Format.fprintf ppf "  n%d [label=\"%s\\n%s:%d\"%s];@." n.n_id (Json.escape n.n_name)
+        (Json.escape n.n_file) n.n_line style)
     t.nodes;
   List.iter (fun e -> Format.fprintf ppf "  n%d -> n%d;@." e.e_from e.e_to) t.edges;
   List.iter
@@ -847,7 +840,7 @@ let pp_dot ppf t =
       List.iter
         (fun root ->
           Format.fprintf ppf "  n%d -> n%d [style=dashed,label=\"Parallel.%s\"];@." s.r_node root
-            (json_escape s.r_fn))
+            (Json.escape s.r_fn))
         s.r_roots)
     t.sites;
   Format.fprintf ppf "}@."

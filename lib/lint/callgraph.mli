@@ -2,7 +2,7 @@
 
     Built in two stages: {!collect_file} walks one parse tree into
     per-file facts (definitions, references, effect sources,
-    allocations, [Parallel.map*] sites, module aliases, opens);
+    allocations, [Parallel.map_result] sites, module aliases, opens);
     {!build} resolves the references of every file against the whole
     set into a graph with stable, deterministic node numbering (files
     in the order given, definitions in source order).
@@ -50,8 +50,8 @@ type edge = {
 }
 
 type rsite = {
-  r_node : int;  (** definition enclosing the [Parallel.map*] call *)
-  r_fn : string;  (** [map], [map_list], [map_traced], [map_env], [map_result] *)
+  r_node : int;  (** definition enclosing the [Parallel.map_result] call *)
+  r_fn : string;  (** the [Parallel] function called: [map_result] *)
   r_loc : Location.t;
   r_allows : string list;
   r_roots : int list;  (** resolved task/env references, sorted *)

@@ -3,20 +3,21 @@
    A top-level binding whose right-hand side creates mutable state —
    a ref, a Hashtbl.t, a Buffer.t, a Queue/Stack, bytes or an array —
    is shared by every domain that can reach it. The engine's contract
-   is that tasks fanned out by [Parallel.map*] touch only per-domain
-   state: the [~env] scratch handed to [map_env]/[map_result],
+   is that tasks fanned out by [Parallel.map_result] touch only
+   per-domain state: the [~env] scratch handed to each worker,
    atomics, or bindings whose per-domain ownership discipline is
    declared in lint.toml's [ownership] table ([Atomic.make] bindings
    never register as mutable in the first place).
 
    The pass marks every definition that can reach an unsanctioned
-   top-level mutable, then inspects each [Parallel.map*] site: the
-   roots are the resolved references inside the task and [~env]
+   top-level mutable, then inspects each [Parallel.map_result] site:
+   the roots are the resolved references inside the task and [~env]
    arguments (when an argument mentions a local value the resolver
    cannot see into, the enclosing definition conservatively stands in
-   as a root). A root that reaches a mutable is a finding at the
-   fan-out site — the one place the race actually starts — with the
-   witness chain in the message.
+   as a root). The [~cache] argument is not a root: its find/store
+   closures run on the calling domain. A root that reaches a mutable
+   is a finding at the fan-out site — the one place the race actually
+   starts — with the witness chain in the message.
 
    Determinism mirrors {!Effects}: sorted edges, first witness wins. *)
 

@@ -1,12 +1,13 @@
 (** Domain-safety pass (rule [domain-race]).
 
-    Flags [Parallel.map*] call sites whose task (or [~env]) argument
-    can reach — through any number of call-graph edges — a top-level
+    Flags [Parallel.map_result] call sites whose task (or [~env])
+    argument can reach — through any number of call-graph edges — a top-level
     mutable binding (ref, Hashtbl.t, Buffer.t, Queue/Stack, bytes,
     array) that is not sanctioned: [Atomic.make] bindings are never
     registered as mutable, and lint.toml's [\[ownership\]] table
     declares per-domain ownership for specific binding names (or
-    ["*"]) under a path.
+    ["*"]) under a path. A [~cache]'s find/store closures run on the
+    calling domain and are not inspected.
 
     When a task argument references a local value the resolver cannot
     see into, the enclosing definition conservatively stands in as a

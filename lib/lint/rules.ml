@@ -88,7 +88,7 @@ let all =
     };
     {
       name = "domain-race";
-      summary = "task passed to Parallel.map* reaches shared top-level mutable state";
+      summary = "task passed to Parallel.map_result reaches shared top-level mutable state";
       rationale = "Top-level refs, Hashtbl.t, Buffer.t or arrays reached by a function fanned out over domains are written by every worker at once — the exact failure mode the engine's per-domain scratch ownership exists to prevent. Give each domain its own state through ~env, use Atomic, or declare per-domain ownership in lint.toml's [ownership] table.";
     };
     {

@@ -49,27 +49,14 @@ let note label fields =
 
 (* ---- JSON dump -------------------------------------------------------- *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Psn_det.Json
 
 let render ~reason r =
   let b = Buffer.create 1024 in
   let recorded = Int.min r.next_seq r.cap in
   Buffer.add_string b
     (Printf.sprintf "{\"version\":1,\"reason\":\"%s\",\"recorded\":%d,\"dropped\":%d,\"events\":["
-       (escape reason) recorded
+       (Json.escape reason) recorded
        (Int.max 0 (r.next_seq - r.cap)));
   (* Oldest surviving event first: the ring holds seqs
      [next_seq - recorded, next_seq). *)
@@ -80,10 +67,11 @@ let render ~reason r =
     | Some e ->
       if not !first then Buffer.add_char b ',';
       first := false;
-      Buffer.add_string b (Printf.sprintf "{\"seq\":%d,\"label\":\"%s\"" e.seq (escape e.label));
+      Buffer.add_string b
+        (Printf.sprintf "{\"seq\":%d,\"label\":\"%s\"" e.seq (Json.escape e.label));
       List.iter
         (fun (k, v) ->
-          Buffer.add_string b (Printf.sprintf ",\"%s\":\"%s\"" (escape k) (escape v)))
+          Buffer.add_string b (Printf.sprintf ",\"%s\":\"%s\"" (Json.escape k) (Json.escape v)))
         e.fields;
       Buffer.add_char b '}'
   done;

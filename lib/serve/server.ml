@@ -176,12 +176,16 @@ let evaluate ~plan ~wtrace scratch (entry : Registry.entry) ~src ~dst ~t_rel =
 
 (* Index-keyed fan-out: jobs=1 reuses the server's scratch across
    queries (the windowed-reuse regression surface), jobs>1 gives each
-   worker domain a private scratch via map_env. Outcomes are
-   bit-identical either way — the serve determinism tests compare
+   worker domain a private scratch through the pool's env. Outcomes
+   are bit-identical either way — the serve determinism tests compare
    whole transcripts across both paths. *)
 let fan_out t tasks eval =
   if t.jobs = 1 then Array.map (eval t.scratch) tasks
-  else Parallel.map_env ~jobs:t.jobs ?chunk:t.chunk ~env:Engine.scratch (fun s _sink x -> eval s x) tasks
+  else
+    Parallel.join_results
+      (Parallel.map_result ~jobs:t.jobs ?chunk:t.chunk ~env:Engine.scratch
+         (fun s _sink x -> eval s x)
+         tasks)
 
 let outcome_delivery (o : Engine.outcome) =
   let r = o.Engine.records.(0) in

@@ -50,7 +50,7 @@ let code_create id = (2 lsl (2 * id_bits)) lor id
      (the sort and the drain touch exactly [0, n_events)).
 
    A scratch must only ever be used by one domain at a time; [Runner]
-   creates one per worker through [Parallel.map_env]. *)
+   creates one per worker through [Parallel.map_result]'s env. *)
 type scratch = {
   mutable s_nodes : int;  (* rows allocated in the node-indexed buffers *)
   mutable s_adj : int array array;

@@ -43,9 +43,9 @@ type scratch
     arrays — unboxed times plus packed event codes), the O(n²)
     adjacency buffers, the holder bitsets and the per-message
     bookkeeping. Allocating this anew dominated short runs, so callers
-    that simulate many seeds in a row (notably {!Runner} through
-    [Parallel.map_env]) create one scratch per domain and pass it to
-    every {!run}.
+    that simulate many seeds in a row (notably {!Runner} through the
+    env of [Parallel.map_result]) create one scratch per domain and
+    pass it to every {!run}.
 
     Reuse is invisible: {!run} re-establishes every invariant it needs
     on entry (message-indexed state is reset; adjacency state is

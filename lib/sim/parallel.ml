@@ -43,21 +43,9 @@ let backoff attempt =
    one domain and verdicts are pure functions of (site, key, attempt),
    the final cell array is bit-identical for every [jobs] × [chunk]
    combination. *)
-let map_result ?jobs ?chunk ?(telemetry = T.Sink.null) ?(retries = 0) ~env f tasks =
+let pool ~jobs ~chunk ~telemetry ~retries ~env f tasks =
   let n = Array.length tasks in
-  let jobs =
-    match jobs with
-    | Some j when j < 1 -> invalid_arg "Parallel.map: jobs must be >= 1"
-    | Some j -> j
-    | None -> default_jobs ()
-  in
-  let chunk =
-    match chunk with
-    | Some c when c < 1 -> invalid_arg "Parallel.map: chunk must be >= 1"
-    | Some c -> c
-    | None -> default_chunk ~jobs n
-  in
-  if retries < 0 then invalid_arg "Parallel.map_result: retries must be >= 0";
+  let chunk = match chunk with Some c -> c | None -> default_chunk ~jobs n in
   let sinks = T.fork telemetry jobs in
   let cells : ('b, exn) result option array = Array.make n None in
   let next = Atomic.make 0 in
@@ -111,19 +99,73 @@ let map_result ?jobs ?chunk ?(telemetry = T.Sink.null) ?(retries = 0) ~env f tas
   T.join telemetry sinks;
   Array.map (function Some r -> r | None -> assert false) cells
 
+type ('a, 'b) cache = { find : 'a -> 'b option; store : 'a -> 'b -> unit; prefix : string }
+
+(* Memoization wraps the pool. The cache is only touched from the
+   calling domain — all lookups happen before the parallel sections and
+   all stores between and after them — so cache backends need no
+   synchronisation and results are stitched back by index, keeping the
+   bit-identical [jobs] contract regardless of the hit pattern.
+
+   [checkpoint] splits the misses into rounds of that many tasks, in
+   index order; each round's successes go to the cache before the next
+   round starts, so a killed sweep resumes from its last completed
+   round (the cache replays the stored values as hits). Because every
+   task is a pure function of its inputs, the round size changes
+   durability and wall time only, never a result. Between rounds is
+   also the sweep's cooperative interruption point
+   ({!Psn_robust.Interrupt.check}): a SIGINT arrives, the current round
+   still lands in the cache, and [Interrupted] propagates with
+   everything completed so far already durable. Without a cache there
+   is nowhere durable to put a round, so the whole grid is one pool
+   section with no cache instrumentation. *)
+let map_result ?jobs ?chunk ?(telemetry = T.Sink.null) ?(retries = 0) ?(checkpoint = 0) ?cache
+    ~env f tasks =
+  let jobs =
+    match jobs with
+    | Some j when j < 1 -> invalid_arg "Parallel.map_result: jobs must be >= 1"
+    | Some j -> j
+    | None -> default_jobs ()
+  in
+  (match chunk with
+  | Some c when c < 1 -> invalid_arg "Parallel.map_result: chunk must be >= 1"
+  | _ -> ());
+  if retries < 0 then invalid_arg "Parallel.map_result: retries must be >= 0";
+  if checkpoint < 0 then invalid_arg "Parallel.map_result: checkpoint must be >= 0";
+  let run batch = pool ~jobs ~chunk ~telemetry ~retries ~env f batch in
+  match cache with
+  | None -> run tasks
+  | Some { find; store; prefix } ->
+    let n = Array.length tasks in
+    let results =
+      T.with_span telemetry (prefix ^ ".cache_lookup") (fun () ->
+          Array.map (fun task -> Option.map Result.ok (find task)) tasks)
+    in
+    let miss_idx =
+      Array.of_list (List.filter (fun i -> Option.is_none results.(i)) (List.init n Fun.id))
+    in
+    let m = Array.length miss_idx in
+    T.count telemetry (prefix ^ ".cache_hits") (n - m);
+    T.count telemetry (prefix ^ ".cache_misses") m;
+    let round_size = if checkpoint = 0 then Int.max 1 m else checkpoint in
+    let pos = ref 0 in
+    while !pos < m do
+      Psn_robust.Interrupt.check ();
+      let batch = Array.sub miss_idx !pos (Int.min round_size (m - !pos)) in
+      let computed = run (Array.map (fun i -> tasks.(i)) batch) in
+      T.with_span telemetry (prefix ^ ".cache_store") (fun () ->
+          Array.iteri
+            (fun j i ->
+              match computed.(j) with Ok v -> store tasks.(i) v | Error (_ : exn) -> ())
+            batch);
+      Array.iteri (fun j i -> results.(i) <- Some computed.(j)) batch;
+      if checkpoint > 0 then T.count telemetry (prefix ^ ".checkpoints") 1;
+      pos := !pos + Array.length batch
+    done;
+    Array.map (function Some r -> r | None -> assert false) results
+
 (* Failure order is deterministic whatever the claim schedule was: the
    lowest failing task index wins. *)
 let join_results cells =
   Array.iter (function Error e -> raise e | Ok _ -> ()) cells;
   Array.map (function Ok v -> v | Error _ -> assert false) cells
-
-let map_env ?jobs ?chunk ?telemetry ~env f tasks =
-  join_results (map_result ?jobs ?chunk ?telemetry ~env f tasks)
-
-let map_traced ?jobs ?chunk ?telemetry f tasks =
-  map_env ?jobs ?chunk ?telemetry ~env:(fun () -> ()) (fun () sink task -> f sink task) tasks
-
-let map ?jobs ?chunk f tasks =
-  map_env ?jobs ?chunk ~env:(fun () -> ()) (fun () (_ : T.sink) task -> f task) tasks
-
-let map_list ?jobs ?chunk f tasks = Array.to_list (map ?jobs ?chunk f (Array.of_list tasks))

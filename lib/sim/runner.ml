@@ -1,6 +1,5 @@
 module T = Psn_telemetry.Telemetry
 module Failpoint = Psn_robust.Failpoint
-module Interrupt = Psn_robust.Interrupt
 
 type run_spec = { workload : Workload.spec; seeds : int64 list }
 
@@ -40,169 +39,59 @@ let run_seed ?faults ~scratch ?(telemetry = T.Sink.null) ~trace ~spec ~factory s
     outcome.Engine.records;
   outcome
 
-(* Memoized fan-out over an arbitrary task grid. The cache is only
-   touched from the calling domain — all lookups happen before the
-   parallel sections and all stores between and after them — so cache
-   backends need no synchronisation and results are stitched back by
-   index, keeping the bit-identical [jobs] contract regardless of the
-   hit pattern.
-
-   [checkpoint] splits the misses into rounds of that many tasks, in
-   index order; each round's successes go to the cache before the next
-   round starts, so a killed sweep resumes from its last completed
-   round (the store replays the stored outcomes as hits). Because
-   every task is a pure function of its inputs, the round size changes
-   durability and wall time only, never a result. Between rounds is
-   also the sweep's cooperative interruption point
-   ({!Psn_robust.Interrupt.check}): a SIGINT arrives, the current
-   round still lands in the cache, and [Interrupted] propagates with
-   everything completed so far already durable.
-
-   [compute] receives the worker environment and the sink of the
-   domain that runs it, so buffers are reused across the domain's
-   misses within a round and task spans land on the right trace
-   track. *)
-let cached_map_result ?jobs ?chunk ?(telemetry = T.Sink.null) ?(retries = 0)
-    ?(checkpoint = 0) ?(prefix = "runner") ~env ~find ~store ~compute tasks =
-  if checkpoint < 0 then invalid_arg "Runner.cached_map: checkpoint must be >= 0";
-  let n = Array.length tasks in
-  let cached =
-    T.with_span telemetry (prefix ^ ".cache_lookup") (fun () -> Array.map find tasks)
-  in
-  let miss_idx =
-    Array.of_list
-      (List.filter
-         (fun i -> Option.is_none cached.(i))
-         (List.init n (fun i -> i)))
-  in
-  let m = Array.length miss_idx in
-  T.count telemetry (prefix ^ ".cache_hits") (n - m);
-  T.count telemetry (prefix ^ ".cache_misses") m;
-  let results = Array.map (Option.map Result.ok) cached in
-  let round_size = if checkpoint = 0 then Int.max 1 m else checkpoint in
-  let pos = ref 0 in
-  while !pos < m do
-    Interrupt.check ();
-    let stop = Int.min m (!pos + round_size) in
-    let batch = Array.sub miss_idx !pos (stop - !pos) in
-    let computed =
-      Parallel.map_result ?jobs ?chunk ~telemetry ~retries ~env
-        (fun e sink i -> compute e sink tasks.(i))
-        batch
-    in
-    T.with_span telemetry (prefix ^ ".cache_store") (fun () ->
-        Array.iteri
-          (fun j i ->
-            match computed.(j) with Ok v -> store tasks.(i) v | Error (_ : exn) -> ())
-          batch);
-    Array.iteri (fun j i -> results.(i) <- Some computed.(j)) batch;
-    if checkpoint > 0 then T.count telemetry (prefix ^ ".checkpoints") 1;
-    pos := stop
-  done;
-  Array.map (function Some r -> r | None -> assert false) results
-
-let cached_map ?jobs ?chunk ?telemetry ?retries ?checkpoint ?prefix ~env ~find ~store
-    ~compute tasks =
-  Parallel.join_results
-    (cached_map_result ?jobs ?chunk ?telemetry ?retries ?checkpoint ?prefix ~env ~find
-       ~store ~compute tasks)
-
-let outcome_cells ?jobs ?chunk ?faults ?store ?retries ?checkpoint
-    ?(telemetry = T.Sink.null) ~trace ~spec ~factory () =
-  if List.is_empty spec.seeds then invalid_arg "Runner: need at least one seed";
-  let seeds = Array.of_list spec.seeds in
-  let compute scratch sink seed =
-    run_seed ?faults ~scratch ~telemetry:sink ~trace ~spec ~factory seed
-  in
-  match store with
-  | None -> Parallel.map_result ?jobs ?chunk ~telemetry ?retries ~env:Engine.scratch compute seeds
-  | Some cache ->
-    cached_map_result ?jobs ?chunk ~telemetry ?retries ?checkpoint ~env:Engine.scratch
-      ~find:(fun seed -> cache.Cache.find ~seed)
-      ~store:(fun seed outcome -> cache.Cache.store ~seed outcome)
-      ~compute seeds
-
-let outcomes_result ?jobs ?chunk ?faults ?store ?retries ?checkpoint ?telemetry ~trace
-    ~spec ~factory () =
-  Array.to_list
-    (outcome_cells ?jobs ?chunk ?faults ?store ?retries ?checkpoint ?telemetry ~trace
-       ~spec ~factory ())
-
-let outcomes ?jobs ?chunk ?faults ?store ?retries ?checkpoint ?telemetry ~trace ~spec
-    ~factory () =
-  Array.to_list
-    (Parallel.join_results
-       (outcome_cells ?jobs ?chunk ?faults ?store ?retries ?checkpoint ?telemetry ~trace
-          ~spec ~factory ()))
-
-let run_algorithm ?jobs ?chunk ?faults ?store ?retries ?checkpoint
-    ?(telemetry = T.Sink.null) ~trace ~spec ~factory () =
-  let outs =
-    outcomes ?jobs ?chunk ?faults ?store ?retries ?checkpoint ~telemetry ~trace ~spec
-      ~factory ()
-  in
-  T.with_span telemetry "runner.metrics" (fun () -> Metrics.pool outs)
-
-let outcome_cells_many ?jobs ?chunk ?faults ?stores ?retries ?checkpoint
-    ?(telemetry = T.Sink.null) ~trace ~spec ~factories () =
+(* The one (factory, seed) grid: flattened into a single task array
+   so a few slow algorithms cannot leave workers idle, memoized per
+   factory when caches are given, then regrouped by factory. *)
+let outcomes_many_result ?jobs ?chunk ?faults ?stores ?retries ?checkpoint ?telemetry ~trace
+    ~spec ~factories () =
   if List.is_empty spec.seeds then invalid_arg "Runner: need at least one seed";
   let seeds = Array.of_list spec.seeds in
   let facs = Array.of_list factories in
   let n_seeds = Array.length seeds in
-  let caches =
-    match stores with
-    | None -> None
-    | Some cs ->
-      if List.length cs <> Array.length facs then
-        invalid_arg "Runner: need one cache per factory";
-      Some (Array.of_list cs)
+  let cache =
+    Option.map
+      (fun cs ->
+        if List.length cs <> Array.length facs then
+          invalid_arg "Runner: need one cache per factory";
+        let caches = Array.of_list cs in
+        {
+          Parallel.find = (fun (fi, seed) -> caches.(fi).Cache.find ~seed);
+          store = (fun (fi, seed) outcome -> caches.(fi).Cache.store ~seed outcome);
+          prefix = "runner";
+        })
+      stores
   in
-  (* Flatten the (factory, seed) grid into one task array so a few slow
-     algorithms cannot leave workers idle, then regroup by factory. *)
   let tasks =
     Array.init
       (Array.length facs * n_seeds)
       (fun i -> (i / n_seeds, seeds.(i mod n_seeds)))
   in
-  let compute scratch sink (fi, seed) =
-    run_seed ?faults ~scratch ~telemetry:sink ~trace ~spec ~factory:facs.(fi) seed
-  in
   let cells =
-    match caches with
-    | None ->
-      Parallel.map_result ?jobs ?chunk ~telemetry ?retries ~env:Engine.scratch compute
-        tasks
-    | Some caches ->
-      cached_map_result ?jobs ?chunk ~telemetry ?retries ?checkpoint ~env:Engine.scratch
-        ~find:(fun (fi, seed) -> caches.(fi).Cache.find ~seed)
-        ~store:(fun (fi, seed) outcome -> caches.(fi).Cache.store ~seed outcome)
-        ~compute tasks
+    Parallel.map_result ?jobs ?chunk ?telemetry ?retries ?checkpoint ?cache ~env:Engine.scratch
+      (fun scratch sink (fi, seed) ->
+        run_seed ?faults ~scratch ~telemetry:sink ~trace ~spec ~factory:facs.(fi) seed)
+      tasks
   in
-  (cells, Array.length facs, n_seeds)
+  List.init (Array.length facs) (fun fi ->
+      List.init n_seeds (fun si -> cells.((fi * n_seeds) + si)))
 
-let regroup arr ~n_facs ~n_seeds =
-  List.init n_facs (fun fi -> List.init n_seeds (fun si -> arr.((fi * n_seeds) + si)))
-
-let outcomes_many_result ?jobs ?chunk ?faults ?stores ?retries ?checkpoint ?telemetry
-    ~trace ~spec ~factories () =
-  let cells, n_facs, n_seeds =
-    outcome_cells_many ?jobs ?chunk ?faults ?stores ?retries ?checkpoint ?telemetry
-      ~trace ~spec ~factories ()
-  in
-  regroup cells ~n_facs ~n_seeds
-
-let outcomes_many ?jobs ?chunk ?faults ?stores ?retries ?checkpoint ?telemetry ~trace
-    ~spec ~factories () =
-  let cells, n_facs, n_seeds =
-    outcome_cells_many ?jobs ?chunk ?faults ?stores ?retries ?checkpoint ?telemetry
-      ~trace ~spec ~factories ()
-  in
-  regroup (Parallel.join_results cells) ~n_facs ~n_seeds
-
+(* Rows are joined in factory order, so the first failure raised is the
+   lowest failing index of the flat grid. *)
 let run_many ?jobs ?chunk ?faults ?stores ?retries ?checkpoint ?(telemetry = T.Sink.null)
     ~trace ~spec ~factories () =
   let outs =
-    outcomes_many ?jobs ?chunk ?faults ?stores ?retries ?checkpoint ~telemetry ~trace
+    outcomes_many_result ?jobs ?chunk ?faults ?stores ?retries ?checkpoint ~telemetry ~trace
       ~spec ~factories ()
+    |> List.map (fun row -> Array.to_list (Parallel.join_results (Array.of_list row)))
   in
   T.with_span telemetry "runner.metrics" (fun () -> List.map Metrics.pool outs)
+
+let run_algorithm ?jobs ?chunk ?faults ?store ?retries ?checkpoint ?telemetry ~trace ~spec
+    ~factory () =
+  match
+    run_many ?jobs ?chunk ?faults
+      ?stores:(Option.map (fun s -> [ s ]) store)
+      ?retries ?checkpoint ?telemetry ~trace ~spec ~factories:[ factory ] ()
+  with
+  | [ m ] -> m
+  | _ -> assert false

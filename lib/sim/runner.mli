@@ -4,55 +4,24 @@
     this module regenerates the workload (and optionally the trace) per
     seed and aggregates over the pooled records.
 
-    Every entry point takes [?jobs] and [?chunk]: the seeds (and, for
-    the [_many] variants, the whole algorithm × seed grid) are fanned
-    across that many domains through {!Parallel}, claimed in index
-    ranges of [chunk] tasks. Each run owns its RNG and algorithm state
-    and results are keyed by input index, so any [jobs] × [chunk]
-    combination produces bit-identical output — scheduling only
-    changes wall time. Defaults to {!Parallel.default_jobs} and
-    {!Parallel}'s chunk heuristic. Each worker domain also owns one
-    {!Engine.scratch}, reused across the consecutive runs it executes,
-    which cuts the per-seed O(n²) allocation without coupling the runs
-    (see {!Engine.type-scratch} for why reuse cannot leak state).
-
-    Every entry point also takes [?faults]: a compiled {!Faults.plan}
-    applied identically to every run of the batch. Fault verdicts are
-    pure functions of the plan and the faulted entity, so faulted
-    sweeps keep the bit-identical [jobs] contract.
-
-    Every entry point also takes an optional outcome cache ([?store] /
-    [?stores], see {!Cache}): per-seed outcomes found in the cache are
-    not recomputed, and freshly computed ones are offered back. The
-    cache is consulted strictly before and updated strictly after the
-    parallel sections, from the calling domain, so caching composes
-    with any [jobs] value and — because a hit is byte-for-byte the
-    outcome that the same inputs would recompute — cannot change
-    results, only wall time.
-
-    Every entry point also takes [?retries] and [?checkpoint] (both
-    default 0). [retries] bounds deterministic in-place re-attempts of
-    transient task failures ({!Parallel.map_result}). [checkpoint]
-    (with a cache) splits the misses into rounds of that many tasks:
-    each round's successes reach the cache before the next round runs,
-    so a sweep killed mid-way resumes from its last completed round —
-    re-running the same command with the same store replays the stored
-    outcomes as hits, and because every task is a pure function of its
-    inputs the resumed output is bit-identical to an uninterrupted
-    run. Between rounds the runner also polls
-    {!Psn_robust.Interrupt.check}, making round boundaries the
-    cooperative SIGINT/SIGTERM points of a sweep. Without a cache,
-    [checkpoint] is ignored (there is nowhere durable to put a
-    round).
-
-    Every entry point also takes [?telemetry] (default null): each run
-    records a ["runner.task"] span tagged with its seed (on the track
-    of the domain that executed it), nesting a ["runner.factory"] span
-    for algorithm construction and the ["engine.run"] span (which
-    carries the algorithm name), cached batches record hit/miss counters
-    and lookup/store spans, and the pooled aggregation records a
-    ["runner.metrics"] span. Instrumentation never affects outcomes —
-    results are bit-identical whether the sink is null or active. *)
+    Every entry point fans its (factory × seed) grid out through
+    {!Parallel.map_result} and takes the same optional knobs, so it
+    inherits that primitive's contract: [?jobs] / [?chunk] spread the
+    whole grid across domains, bit-identically for any combination;
+    each worker domain reuses one {!Engine.scratch} across its runs;
+    [?retries] re-attempts transient failures in place; [?store] /
+    [?stores] memoize per-seed outcomes ({!Cache}), consulted before
+    and updated after the parallel sections from the calling domain,
+    with [?checkpoint] splitting the misses into durable rounds so a
+    killed sweep re-run with the same store resumes bit-identically.
+    [?faults] is a compiled {!Faults.plan} applied identically to every
+    run; its verdicts are pure functions of the plan and the faulted
+    entity, so faulted sweeps keep the [jobs] contract. [?telemetry]
+    (default null) records a ["runner.task"] span per run tagged with
+    its seed (nesting ["runner.factory"] and ["engine.run"]), the
+    cache's ["runner.cache_*"] spans and counters when a store is
+    given, and a ["runner.metrics"] span for the pooled aggregation;
+    instrumentation never affects outcomes. *)
 
 type run_spec = {
   workload : Workload.spec;
@@ -98,65 +67,6 @@ val run_many :
     given, must supply one cache per factory (in factory order);
     raises [Invalid_argument] otherwise. *)
 
-val outcomes :
-  ?jobs:int ->
-  ?chunk:int ->
-  ?faults:Faults.plan ->
-  ?store:Cache.t ->
-  ?retries:int ->
-  ?checkpoint:int ->
-  ?telemetry:Psn_telemetry.Telemetry.sink ->
-  trace:Psn_trace.Trace.t ->
-  spec:run_spec ->
-  factory:Algorithm.factory ->
-  unit ->
-  Engine.outcome list
-(** The raw per-seed outcomes, in seed order, for analyses needing full
-    records (Fig. 10 delay distributions, Fig. 13 groupings). *)
-
-val outcomes_many :
-  ?jobs:int ->
-  ?chunk:int ->
-  ?faults:Faults.plan ->
-  ?stores:Cache.t list ->
-  ?retries:int ->
-  ?checkpoint:int ->
-  ?telemetry:Psn_telemetry.Telemetry.sink ->
-  trace:Psn_trace.Trace.t ->
-  spec:run_spec ->
-  factories:Algorithm.factory list ->
-  unit ->
-  Engine.outcome list list
-(** {!outcomes} for each factory over the same seeds; the whole
-    factory × seed grid is one parallel batch, so stragglers in one
-    algorithm overlap with the others' work. Results are grouped per
-    factory, seeds in order. *)
-
-(** {1 Graceful degradation}
-
-    The [_result] variants isolate per-task failures into [result]
-    cells instead of aborting the sweep: one failed (algorithm, seed)
-    run costs one cell, and study layers can report the failed cell
-    while still aggregating the rest. The raising entry points above
-    are these followed by {!Parallel.join_results} (lowest failing
-    index re-raised) — either way every successful round still reaches
-    the cache first, so even an aborting sweep checkpoints what it
-    completed. *)
-
-val outcomes_result :
-  ?jobs:int ->
-  ?chunk:int ->
-  ?faults:Faults.plan ->
-  ?store:Cache.t ->
-  ?retries:int ->
-  ?checkpoint:int ->
-  ?telemetry:Psn_telemetry.Telemetry.sink ->
-  trace:Psn_trace.Trace.t ->
-  spec:run_spec ->
-  factory:Algorithm.factory ->
-  unit ->
-  (Engine.outcome, exn) result list
-
 val outcomes_many_result :
   ?jobs:int ->
   ?chunk:int ->
@@ -170,52 +80,12 @@ val outcomes_many_result :
   factories:Algorithm.factory list ->
   unit ->
   (Engine.outcome, exn) result list list
-
-(** {1 Generic memoized fan-out}
-
-    The machinery under the entry points above, exported so other
-    sweep layers (the experiment module's enumeration fan-out) share
-    one checkpoint/resume and failure-isolation implementation. *)
-
-val cached_map_result :
-  ?jobs:int ->
-  ?chunk:int ->
-  ?telemetry:Psn_telemetry.Telemetry.sink ->
-  ?retries:int ->
-  ?checkpoint:int ->
-  ?prefix:string ->
-  env:(unit -> 'env) ->
-  find:('a -> 'b option) ->
-  store:('a -> 'b -> unit) ->
-  compute:('env -> Psn_telemetry.Telemetry.sink -> 'a -> 'b) ->
-  'a array ->
-  ('b, exn) result array
-(** Memoized {!Parallel.map_result} over an arbitrary task grid:
-    [find] every task up front (from the calling domain), compute the
-    misses in parallel in rounds of [checkpoint] tasks (default 0 =
-    one round), [store] each round's successes before the next round
-    and poll {!Psn_robust.Interrupt.check} between rounds. Results are
-    stitched back by task index, so the output is bit-identical for
-    every [jobs] × [chunk] × [checkpoint] combination and any hit
-    pattern. [prefix] (default ["runner"]) names the telemetry
-    instrumentation: [<prefix>.cache_lookup] / [<prefix>.cache_store]
-    spans, [<prefix>.cache_hits] / [<prefix>.cache_misses] /
-    [<prefix>.checkpoints] counters. Raises [Invalid_argument] when
-    [checkpoint < 0]. *)
-
-val cached_map :
-  ?jobs:int ->
-  ?chunk:int ->
-  ?telemetry:Psn_telemetry.Telemetry.sink ->
-  ?retries:int ->
-  ?checkpoint:int ->
-  ?prefix:string ->
-  env:(unit -> 'env) ->
-  find:('a -> 'b option) ->
-  store:('a -> 'b -> unit) ->
-  compute:('env -> Psn_telemetry.Telemetry.sink -> 'a -> 'b) ->
-  'a array ->
-  'b array
-(** {!cached_map_result} followed by {!Parallel.join_results}: all
-    rounds run and checkpoint their successes, then the lowest-index
-    failure (if any) is re-raised. *)
+(** The raw per-seed outcome cells, grouped per factory with seeds in
+    order, for analyses needing full records (Fig. 10 delay
+    distributions, Fig. 13 groupings). A failed (algorithm, seed) run
+    costs one [Error] cell instead of the sweep, so study layers can
+    report it and still aggregate the rest. The raising entry points
+    above are this grid followed by {!Parallel.join_results} (lowest
+    failing index re-raised); either way every successful round still
+    reaches the cache first, so even an aborting sweep checkpoints what
+    it completed. *)

@@ -14,8 +14,10 @@
      the `store ...` report lines whose hit/miss split legitimately
      differs on a resumed run.
 
-   The gc eviction windows get the same treatment through `psn store
-   gc --failpoints`. Usage: crash_matrix <psn_cli.exe> <trace-file>. *)
+   The enumeration sweep (`psn explosion`, memoized per message in the
+   same store) gets the same kill/verify/resume treatment, and the gc
+   eviction windows get it through `psn store gc --failpoints`.
+   Usage: crash_matrix <psn_cli.exe> <trace-file>. *)
 
 let () =
   if Array.length Sys.argv <> 3 then begin
@@ -58,6 +60,17 @@ let simulate ?failpoints ~dir ~jobs out =
   in
   sh "%s simulate -t %s --seeds 2 -a direct,epidemic -j %d --chunk 1 --store %s --checkpoint 1%s > %s 2>/dev/null"
     cli trace jobs (Filename.quote dir) fp (Filename.quote out)
+
+let explosion ?failpoints ?(resume = false) ~dir ~jobs out =
+  let fp =
+    match failpoints with
+    | None -> ""
+    | Some s -> Printf.sprintf " --failpoints %s" (Filename.quote s)
+  in
+  sh "%s explosion --messages 8 -k 200 -j %d --store %s --checkpoint 1%s%s > %s 2>/dev/null" cli
+    jobs (Filename.quote dir) fp
+    (if resume then " --resume" else "")
+    (Filename.quote out)
 
 let verify dir = sh "%s store verify --store %s >/dev/null 2>&1" cli (Filename.quote dir)
 
@@ -107,6 +120,32 @@ let () =
           end)
         jobs_list)
     matrix;
+
+  (* Enumeration sweep: one cached enumeration per message, one
+     message per checkpoint round; killed right after the third entry
+     lands, so the resume replays three hits and computes the rest. *)
+  rm_rf "cm_enum_base";
+  let code = explosion ~dir:"cm_enum_base" ~jobs:1 "cm_enum_base.out" in
+  if code <> 0 then failf "baseline explosion exited %d" code;
+  let enum_baseline = canon "cm_enum_base.out" in
+  List.iter
+    (fun jobs ->
+      let label = Printf.sprintf "explosion store.insert.post_rename=crash@3 jobs=%d" jobs in
+      let dir = "cm_enum" in
+      rm_rf dir;
+      let code =
+        explosion ~failpoints:"store.insert.post_rename=crash@3" ~dir ~jobs "cm_enum_crash.out"
+      in
+      if code <> crash_exit then failf "%s: crash run exited %d, want %d" label code crash_exit
+      else begin
+        let v = verify dir in
+        if v <> 0 then failf "%s: store verify exited %d after crash" label v;
+        let r = explosion ~resume:true ~dir ~jobs "cm_enum_resume.out" in
+        if r <> 0 then failf "%s: resume exited %d" label r
+        else if not (String.equal (canon "cm_enum_resume.out") enum_baseline) then
+          failf "%s: resumed output differs from uninterrupted run" label
+      end)
+    [ 1; 4 ];
 
   (* gc eviction windows: populate, kill mid-gc, prove recovery and
      that finishing the gc still works. *)

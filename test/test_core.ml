@@ -57,6 +57,15 @@ let test_det_tbl_duplicate_keys () =
     [ (1, "only"); (2, "new"); (2, "old") ]
     (Core.Det_tbl.bindings ~cmp:Int.compare tbl)
 
+(* --- Json --- *)
+
+(* The one escaper every JSON writer uses: short escapes for the
+   characters JSON names, \u00XX for the remaining control bytes. *)
+let test_json_escape () =
+  let s = "a\"b\\c\nd\te\rf\x01g" in
+  Alcotest.(check string) "escaped" {|a\"b\\c\nd\te\rf\u0001g|} (Psn_det.Json.escape s);
+  Alcotest.(check string) "utf-8 passes through" "caf\xc3\xa9" (Psn_det.Json.escape "caf\xc3\xa9")
+
 (* --- Classify --- *)
 
 let test_classify_median_split () =
@@ -336,6 +345,7 @@ let () =
           Alcotest.test_case "sorted views" `Quick test_det_tbl_sorted_views;
           Alcotest.test_case "duplicate keys" `Quick test_det_tbl_duplicate_keys;
         ] );
+      ("json", [ Alcotest.test_case "escape" `Quick test_json_escape ]);
       ( "classify",
         [
           Alcotest.test_case "median split" `Quick test_classify_median_split;

@@ -531,6 +531,26 @@ let runner_spec seeds =
     seeds = Runner.default_seeds seeds;
   }
 
+(* One factory's row of the (factory x seed) grid. *)
+let outcome_cells ?jobs ?faults ?store ?checkpoint ~trace ~spec ~factory () =
+  match
+    Runner.outcomes_many_result ?jobs ?faults
+      ?stores:(Option.map (fun c -> [ c ]) store)
+      ?checkpoint ~trace ~spec ~factories:[ factory ] ()
+  with
+  | [ row ] -> row
+  | _ -> Alcotest.fail "one factory gives one row"
+
+let outcomes ?jobs ?faults ~trace ~spec ~factory () =
+  Array.to_list
+    (Core.Parallel.join_results
+       (Array.of_list (outcome_cells ?jobs ?faults ~trace ~spec ~factory ())))
+
+(* The plain, raising map: the pool with no environment and no cache. *)
+let pmap ?jobs ?chunk f tasks =
+  Core.Parallel.join_results
+    (Core.Parallel.map_result ?jobs ?chunk ~env:(fun () -> ()) (fun () _sink x -> f x) tasks)
+
 let test_runner_deterministic () =
   let trace = runner_trace () in
   let spec = runner_spec 2 in
@@ -538,7 +558,7 @@ let test_runner_deterministic () =
   let a = Runner.run_algorithm ~trace ~spec ~factory () in
   let b = Runner.run_algorithm ~trace ~spec ~factory () in
   Alcotest.check feps "same success" a.Metrics.success_rate b.Metrics.success_rate;
-  Alcotest.(check int) "two outcomes" 2 (List.length (Runner.outcomes ~trace ~spec ~factory ()))
+  Alcotest.(check int) "two outcomes" 2 (List.length (outcomes ~trace ~spec ~factory ()))
 
 (* The determinism contract of the parallel layer: any jobs value gives
    bit-identical results, because each run owns its RNG and results are
@@ -547,8 +567,8 @@ let test_runner_parallel_deterministic () =
   let trace = runner_trace () in
   let spec = runner_spec 3 in
   let check_factory name factory =
-    let seq = Runner.outcomes ~jobs:1 ~trace ~spec ~factory () in
-    let par = Runner.outcomes ~jobs:4 ~trace ~spec ~factory () in
+    let seq = outcomes ~jobs:1 ~trace ~spec ~factory () in
+    let par = outcomes ~jobs:4 ~trace ~spec ~factory () in
     Alcotest.(check bool) (name ^ ": outcomes identical") true (Stdlib.compare seq par = 0);
     Alcotest.(check bool) (name ^ ": pooled metrics identical") true
       (Stdlib.compare (Metrics.pool seq) (Metrics.pool par) = 0)
@@ -564,18 +584,18 @@ let test_parallel_map () =
   let input = Array.init 100 (fun i -> i) in
   let sq i = i * i in
   Alcotest.(check (array int)) "order preserved" (Array.map sq input)
-    (Core.Parallel.map ~jobs:4 sq input);
-  Alcotest.(check (array int)) "jobs=1 matches jobs=7" (Core.Parallel.map ~jobs:1 sq input)
-    (Core.Parallel.map ~jobs:7 sq input);
-  Alcotest.(check (array int)) "empty input" [||] (Core.Parallel.map ~jobs:4 sq [||]);
+    (pmap ~jobs:4 sq input);
+  Alcotest.(check (array int)) "jobs=1 matches jobs=7" (pmap ~jobs:1 sq input)
+    (pmap ~jobs:7 sq input);
+  Alcotest.(check (array int)) "empty input" [||] (pmap ~jobs:4 sq [||]);
   Alcotest.check_raises "worker exception propagates" (Invalid_argument "boom") (fun () ->
-      ignore (Core.Parallel.map ~jobs:4 (fun i -> if i = 63 then invalid_arg "boom" else i) input));
+      ignore (pmap ~jobs:4 (fun i -> if i = 63 then invalid_arg "boom" else i) input));
   Alcotest.check_raises "jobs must be positive"
-    (Invalid_argument "Parallel.map: jobs must be >= 1") (fun () ->
-      ignore (Core.Parallel.map ~jobs:0 sq input));
+    (Invalid_argument "Parallel.map_result: jobs must be >= 1") (fun () ->
+      ignore (pmap ~jobs:0 sq input));
   Alcotest.check_raises "chunk must be positive"
-    (Invalid_argument "Parallel.map: chunk must be >= 1") (fun () ->
-      ignore (Core.Parallel.map ~chunk:0 sq input))
+    (Invalid_argument "Parallel.map_result: chunk must be >= 1") (fun () ->
+      ignore (pmap ~chunk:0 sq input))
 
 (* With several tasks failing, the chunked pool must re-raise the
    exception of the lowest failing index whatever the claim schedule —
@@ -592,7 +612,7 @@ let test_parallel_chunked_exception_order () =
             (Invalid_argument "boom 17")
             (fun () ->
               ignore
-                (Core.Parallel.map ~jobs ~chunk
+                (pmap ~jobs ~chunk
                    (fun i ->
                      if i = 17 || i = 23 || i = 39 then invalid_arg (Printf.sprintf "boom %d" i)
                      else i)
@@ -685,10 +705,11 @@ let test_parallel_permanent_not_retried () =
 (* Checkpointed rounds reach the cache even when a later task fails
    permanently, and a rerun against the same cache (the CLI's --resume)
    reproduces the uninterrupted output bit for bit. *)
-let test_cached_map_checkpoint_resume () =
+let test_checkpoint_resume () =
   let tbl = Hashtbl.create 32 in
-  let find i = Hashtbl.find_opt tbl i in
-  let store i v = Hashtbl.replace tbl i v in
+  let cache =
+    { Core.Parallel.find = Hashtbl.find_opt tbl; store = Hashtbl.replace tbl; prefix = "test" }
+  in
   let input = Array.init 20 (fun i -> i) in
   let compute _env _sink i =
     Failpoint.trigger ~key:(Int64.of_int i) "test.task";
@@ -696,8 +717,8 @@ let test_cached_map_checkpoint_resume () =
   in
   with_failpoints "test.task=error@13" (fun () ->
       let cells =
-        Core.Runner.cached_map_result ~jobs:1 ~chunk:1 ~checkpoint:4 ~env:(fun () -> ())
-          ~find ~store ~compute input
+        Core.Parallel.map_result ~jobs:1 ~chunk:1 ~checkpoint:4 ~cache ~env:(fun () -> ())
+          compute input
       in
       let failed =
         Array.to_list cells |> List.filter (function Error _ -> true | Ok _ -> false)
@@ -705,16 +726,34 @@ let test_cached_map_checkpoint_resume () =
       Alcotest.(check int) "one failed cell" 1 (List.length failed));
   Alcotest.(check int) "successes checkpointed" 19 (Hashtbl.length tbl);
   let resumed =
-    Core.Runner.cached_map ~jobs:4 ~chunk:3 ~checkpoint:4 ~env:(fun () -> ()) ~find ~store
-      ~compute input
+    Core.Parallel.join_results
+      (Core.Parallel.map_result ~jobs:4 ~chunk:3 ~checkpoint:4 ~cache ~env:(fun () -> ())
+         compute input)
   in
   Alcotest.(check (array int)) "resumed = uninterrupted" (Array.map (fun i -> i * i) input)
-    resumed;
-  Alcotest.check_raises "negative checkpoint rejected"
-    (Invalid_argument "Runner.cached_map: checkpoint must be >= 0") (fun () ->
+    resumed
+
+(* A negative checkpoint is a caller error whether or not a cache is
+   given. *)
+let test_negative_checkpoint_rejected () =
+  let rejected = Invalid_argument "Parallel.map_result: checkpoint must be >= 0" in
+  let cache = { Core.Parallel.find = (fun _ -> None); store = (fun _ _ -> ()); prefix = "t" } in
+  let compute () _sink i = i in
+  Alcotest.check_raises "pool without a cache" rejected (fun () ->
+      ignore (Core.Parallel.map_result ~checkpoint:(-1) ~env:(fun () -> ()) compute [| 1 |]));
+  Alcotest.check_raises "pool with a cache" rejected (fun () ->
       ignore
-        (Core.Runner.cached_map ~checkpoint:(-1) ~env:(fun () -> ()) ~find ~store ~compute
-           input))
+        (Core.Parallel.map_result ~checkpoint:(-1) ~cache ~env:(fun () -> ()) compute [| 1 |]));
+  let trace = runner_trace () in
+  let spec = runner_spec 1 in
+  let factory _ = epidemic in
+  let store =
+    { Core.Cache.find = (fun ~seed:_ -> None); store = (fun ~seed:_ (_ : Engine.outcome) -> ()) }
+  in
+  Alcotest.check_raises "runner without a store" rejected (fun () ->
+      ignore (Runner.run_algorithm ~checkpoint:(-1) ~trace ~spec ~factory ()));
+  Alcotest.check_raises "runner with a store" rejected (fun () ->
+      ignore (Runner.run_algorithm ~checkpoint:(-1) ~store ~trace ~spec ~factory ()))
 
 (* Scratch reuse is invisible: the same scratch replayed across runs —
    different seeds, a smaller population, even straight after an
@@ -796,7 +835,7 @@ let qcheck_tests =
       (fun (jobs, chunk, n) ->
         let tasks = Array.init n (fun i -> i * 3) in
         let seq = Array.map (fun i -> (i * 7) mod 13) tasks in
-        let par = Core.Parallel.map ~jobs ~chunk (fun i -> (i * 7) mod 13) tasks in
+        let par = pmap ~jobs ~chunk (fun i -> (i * 7) mod 13) tasks in
         let arrays_ok = Stdlib.compare par seq = 0 in
         let metrics_ok =
           n = 0
@@ -855,8 +894,7 @@ let qcheck_tests =
           Core.Failpoint.install plan;
           Fun.protect ~finally:Core.Failpoint.uninstall (fun () ->
               ignore
-                (Runner.outcomes_result ~jobs:1 ~chunk:1 ~checkpoint:1 ~store:cache ~trace
-                   ~spec ~factory ())));
+                (outcome_cells ~jobs:1 ~checkpoint:1 ~store:cache ~trace ~spec ~factory ())));
         let resumed =
           Runner.run_algorithm ~jobs ~checkpoint:2 ~store:cache ~trace ~spec ~factory ()
         in
@@ -1028,12 +1066,12 @@ let test_faulted_runner_deterministic () =
   let par = Runner.run_many ~jobs:4 ~faults:plan ~trace ~spec ~factories () in
   Alcotest.(check bool) "faulted run_many identical across jobs" true
     (Stdlib.compare seq par = 0);
-  let seq_o = Runner.outcomes ~jobs:1 ~faults:plan ~trace ~spec ~factory:(fun _ -> epidemic) () in
-  let par_o = Runner.outcomes ~jobs:4 ~faults:plan ~trace ~spec ~factory:(fun _ -> epidemic) () in
+  let seq_o = outcomes ~jobs:1 ~faults:plan ~trace ~spec ~factory:(fun _ -> epidemic) () in
+  let par_o = outcomes ~jobs:4 ~faults:plan ~trace ~spec ~factory:(fun _ -> epidemic) () in
   Alcotest.(check bool) "faulted outcomes identical across jobs" true
     (Stdlib.compare seq_o par_o = 0);
   (* faults change results (the plan is actually consulted) *)
-  let clean = Runner.outcomes ~jobs:1 ~trace ~spec ~factory:(fun _ -> epidemic) () in
+  let clean = outcomes ~jobs:1 ~trace ~spec ~factory:(fun _ -> epidemic) () in
   Alcotest.(check bool) "faults alter the outcome" true (Stdlib.compare clean seq_o <> 0)
 
 let () =
@@ -1099,7 +1137,9 @@ let () =
           Alcotest.test_case "map_result cells" `Quick test_parallel_map_result_cells;
           Alcotest.test_case "transient retries recover" `Quick test_parallel_retries_recover;
           Alcotest.test_case "permanent not retried" `Quick test_parallel_permanent_not_retried;
-          Alcotest.test_case "checkpoint and resume" `Quick test_cached_map_checkpoint_resume;
+          Alcotest.test_case "checkpoint and resume" `Quick test_checkpoint_resume;
+          Alcotest.test_case "negative checkpoint rejected" `Quick
+            test_negative_checkpoint_rejected;
           Alcotest.test_case "scratch reuse" `Quick test_engine_scratch_reuse;
           Alcotest.test_case "dirty scratch rebuilt" `Quick test_engine_scratch_dirty;
         ] );

@@ -12,18 +12,7 @@ let usage =
   "psn_lint [--config FILE] [--format human|json|sarif] [--graph json|dot] [--jobs N] [--rules] \
    PATH..."
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Psn_det.Json
 
 (* SARIF 2.1.0, the GitHub code-scanning subset: one run, the full
    rule registry in the driver, one result per finding. Emitted
@@ -37,9 +26,9 @@ let print_sarif findings =
       if i > 0 then Format.printf ",";
       Format.printf
         "@.  {\"id\":\"%s\",\"shortDescription\":{\"text\":\"%s\"},\"fullDescription\":{\"text\":\"%s\"}}"
-        (json_escape r.Psn_lint.Rules.name)
-        (json_escape r.Psn_lint.Rules.summary)
-        (json_escape r.Psn_lint.Rules.rationale))
+        (Json.escape r.Psn_lint.Rules.name)
+        (Json.escape r.Psn_lint.Rules.summary)
+        (Json.escape r.Psn_lint.Rules.rationale))
     Psn_lint.Rules.all;
   Format.printf "@.]}},\"results\":[";
   List.iteri
@@ -47,9 +36,9 @@ let print_sarif findings =
       if i > 0 then Format.printf ",";
       Format.printf
         "@.  {\"ruleId\":\"%s\",\"level\":\"error\",\"message\":{\"text\":\"%s\"},\"locations\":[{\"physicalLocation\":{\"artifactLocation\":{\"uri\":\"%s\"},\"region\":{\"startLine\":%d,\"startColumn\":%d}}}]}"
-        (json_escape d.Psn_lint.Diagnostic.rule)
-        (json_escape d.Psn_lint.Diagnostic.message)
-        (json_escape d.Psn_lint.Diagnostic.file)
+        (Json.escape d.Psn_lint.Diagnostic.rule)
+        (Json.escape d.Psn_lint.Diagnostic.message)
+        (Json.escape d.Psn_lint.Diagnostic.file)
         d.Psn_lint.Diagnostic.line
         (d.Psn_lint.Diagnostic.col + 1))
     findings;
