@@ -344,6 +344,169 @@ let test_property_paths_distinct () =
     Alcotest.(check int) "all paths distinct" (List.length paths) (List.length sorted)
   done
 
+(* --- Brute-force oracle --- *)
+
+module Stgraph = Core.Stgraph
+
+(* Every valid path of §4.1, listed by depth-first search over the
+   space-time graph. A path starts at vertex (src, c0 + 1) holding the
+   hop (src, c0); a contact edge into [dst] is an arrival, any other
+   contact edge extends the path unless it would revisit a node, and
+   the wait edge out of step s is pruned when some node on the path
+   meets [dst] at s (first preference). Returns [(step, hops)] per
+   arrival, unordered. *)
+let oracle_arrivals snap ~src ~dst ~t_create =
+  let graph = Stgraph.of_snapshot snap in
+  let c0 = Core.Timegrid.step_of_time (Snapshot.grid snap) t_create in
+  let found = ref [] in
+  let meets_dst step node = Snapshot.in_contact snap ~step node dst in
+  let rec visit (v : Stgraph.vertex) hops_rev visited =
+    List.iter
+      (function
+        | Stgraph.Contact (_, w) ->
+          if w.Stgraph.node = dst then
+            found := (w.Stgraph.step, List.rev (hop dst w.Stgraph.step :: hops_rev)) :: !found
+          else if not (List.mem w.Stgraph.node visited) then
+            visit w (hop w.Stgraph.node w.Stgraph.step :: hops_rev) (w.Stgraph.node :: visited)
+        | Stgraph.Wait (_, w) ->
+          if not (List.exists (meets_dst v.Stgraph.step) visited) then visit w hops_rev visited)
+      (Stgraph.successors graph v)
+  in
+  if c0 < Snapshot.n_steps snap then
+    visit { Stgraph.node = src; step = c0 + 1 } [ hop src c0 ] [ src ];
+  !found
+
+let hop_order (a : Path.hop) (b : Path.hop) =
+  let c = Int.compare a.Path.step b.Path.step in
+  if c <> 0 then c else Int.compare a.Path.node b.Path.node
+
+(* Arrivals grouped by step, each step's paths as sorted hop lists. *)
+let by_step arrivals =
+  let steps = List.sort_uniq Int.compare (List.map fst arrivals) in
+  List.map
+    (fun s ->
+      ( s,
+        List.filter_map (fun (s', p) -> if s' = s then Some p else None) arrivals
+        |> List.sort (List.compare hop_order) ))
+    steps
+
+let enumerated_arrivals ~exhaustive snap ~src ~dst ~t_create =
+  let result =
+    Enumerate.run
+      ~config:{ Enumerate.k = max_int; max_hops = None; stop_at_total = None; exhaustive }
+      snap ~src ~dst ~t_create
+  in
+  Array.to_list result.Enumerate.arrivals
+  |> List.map (fun (a : Enumerate.arrival) -> (a.Enumerate.step, Path.hops a.Enumerate.path))
+
+(* Small enough that 500 exhaustive cases list ~30k paths in well under
+   a second. *)
+let tiny_trace rng =
+  let n_nodes = 4 + Rng.int rng 6 in
+  let n_contacts = 10 + Rng.int rng 24 in
+  let contacts =
+    List.init n_contacts (fun _ ->
+        let a = Rng.int rng n_nodes in
+        let b = (a + 1 + Rng.int rng (n_nodes - 1)) mod n_nodes in
+        let s = Rng.float rng 140. in
+        Contact.make ~a ~b ~t_start:s ~t_end:(s +. 1. +. Rng.float rng 60.))
+  in
+  Trace.create ~n_nodes ~horizon:180. contacts
+
+let tiny_message rng trace =
+  let n = Trace.n_nodes trace in
+  let src = Rng.int rng n in
+  let dst = (src + 1 + Rng.int rng (n - 1)) mod n in
+  (src, dst, Rng.float rng 80.)
+
+let pp_step_paths ppf (s, paths) =
+  Format.fprintf ppf "step %d: %d paths" s (List.length paths)
+
+(* Unbounded exhaustive enumeration lists exactly the oracle's paths,
+   step by step. *)
+let test_oracle_exhaustive () =
+  let rng = Rng.create ~seed:606L () in
+  for case = 1 to 500 do
+    let trace = tiny_trace rng in
+    let snap = Snapshot.of_trace trace in
+    let src, dst, t_create = tiny_message rng trace in
+    let expected = by_step (oracle_arrivals snap ~src ~dst ~t_create) in
+    let got = by_step (enumerated_arrivals ~exhaustive:true snap ~src ~dst ~t_create) in
+    let same_step (s, a) (s', b) = s = s' && List.equal (List.equal ( = )) a b in
+    if not (List.equal same_step expected got) then
+      Alcotest.failf "case %d (%d -> %d at %.1f): oracle [%a] vs enumerate [%a]" case src dst
+        t_create
+        (Format.pp_print_list pp_step_paths)
+        expected
+        (Format.pp_print_list pp_step_paths)
+        got
+  done
+
+(* Fast mode lists a subset of the oracle's paths with the same first
+   arrival. *)
+let test_oracle_fast_subset () =
+  let rng = Rng.create ~seed:707L () in
+  for case = 1 to 500 do
+    let trace = tiny_trace rng in
+    let snap = Snapshot.of_trace trace in
+    let src, dst, t_create = tiny_message rng trace in
+    let expected = oracle_arrivals snap ~src ~dst ~t_create in
+    let got = enumerated_arrivals ~exhaustive:false snap ~src ~dst ~t_create in
+    List.iter
+      (fun a ->
+        if not (List.mem a expected) then Alcotest.failf "case %d: path not in oracle" case)
+      got;
+    let first l = List.fold_left (fun acc (s, _) -> Int.min acc s) max_int l in
+    Alcotest.(check int)
+      (Printf.sprintf "case %d first arrival step" case)
+      (first expected) (first got)
+  done
+
+(* --- Golden --- *)
+
+(* An FNV digest of the codec encoding of a fixed enumeration sweep on
+   the infocom06_am preset: the first eight messages the enumeration
+   study draws, at k = 200 with a 200-arrival budget, then the first
+   two again in exhaustive mode. Pins every arrival's hops, step and
+   order. *)
+let golden_digest = "432f3c336e66be89"
+
+let test_golden_enumeration () =
+  let dataset = Core.Dataset.infocom06_am in
+  let trace = Core.Dataset.generate dataset in
+  let snap = Snapshot.of_trace trace in
+  let rng =
+    Rng.create
+      ~seed:
+        (Int64.logxor Core.Experiments.default_scale.Core.Experiments.rng_seed
+           dataset.Core.Dataset.seed)
+      ()
+  in
+  let n = Trace.n_nodes trace in
+  let messages =
+    List.init 8 (fun _ ->
+        let src = Rng.int rng n in
+        let dst =
+          let r = Rng.int rng (n - 1) in
+          if r >= src then r + 1 else r
+        in
+        (src, dst, Rng.float rng (Trace.horizon trace *. 2. /. 3.)))
+  in
+  let encode exhaustive (src, dst, t_create) =
+    Core.Store_codec.encode_enumeration
+      (Enumerate.run
+         ~config:{ Enumerate.k = 200; max_hops = None; stop_at_total = Some 200; exhaustive }
+         snap ~src ~dst ~t_create)
+  in
+  let runs =
+    List.map (encode false) messages
+    @ List.map (encode true) (List.filteri (fun i _ -> i < 2) messages)
+  in
+  let digest =
+    List.fold_left (fun acc s -> Core.Fnv.of_string ~init:acc s) (Core.Fnv.of_string "") runs
+  in
+  Alcotest.(check string) "digest" golden_digest (Core.Fnv.to_hex digest)
+
 (* --- Explosion --- *)
 
 let explosion_fixture () =
@@ -451,6 +614,12 @@ let () =
           Alcotest.test_case "arrivals chronological" `Slow test_property_arrivals_chronological;
           Alcotest.test_case "paths distinct" `Slow test_property_paths_distinct;
           Alcotest.test_case "fast mode vs exhaustive" `Slow test_property_fast_mode_vs_exhaustive;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "exhaustive = brute force" `Slow test_oracle_exhaustive;
+          Alcotest.test_case "fast mode within brute force" `Slow test_oracle_fast_subset;
+          Alcotest.test_case "golden enumeration digest" `Slow test_golden_enumeration;
         ] );
       ( "explosion",
         [
