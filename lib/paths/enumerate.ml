@@ -21,60 +21,483 @@ type result = {
   t_create : float;
 }
 
-(* Compact per-copy state. [hops_rev] shares its tail across extensions,
-   so an extension costs one cons; [visited] is a private bitset copied
-   on extension (n/8 bytes). *)
-type ipath = {
-  last : int;
-  hops_rev : (int * int) list;
-  nhops : int;
-  visited : Bytes.t;
-  born : int;  (* step at which this copy was created *)
+(* ------------------------------------------------------------------ *)
+(* Scratch                                                            *)
+
+(* A growable int stack. *)
+type vec = { mutable data : int array; mutable len : int }
+
+let vec () = { data = [||]; len = 0 }
+
+let grow v =
+  let data = Array.make (Int.max 16 (2 * Array.length v.data)) 0 in
+  Array.blit v.data 0 data 0 v.len;
+  v.data <- data
+
+let[@psn.hot] push v x =
+  if v.len = Array.length v.data then (grow v [@lint.allow "hot-path-alloc"]);
+  Array.unsafe_set v.data v.len x;
+  v.len <- v.len + 1
+
+(* One step's contact graph in compressed sparse rows: the neighbours
+   of [u] are [adj.(start.(u)) .. adj.(start.(u + 1) - 1)], ascending. *)
+type csr = { mutable start : int array; adj : vec }
+
+let csr () = { start = [||]; adj = vec () }
+let[@inline] degree c u = Array.unsafe_get c.start (u + 1) - Array.unsafe_get c.start u
+
+type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let ints len : ints = Bigarray.Array1.create Bigarray.int Bigarray.c_layout len
+let[@inline] get (a : ints) i = Bigarray.Array1.unsafe_get a i
+let[@inline] set (a : ints) i x = Bigarray.Array1.unsafe_set a i x
+
+(* Per-domain buffers, reused across runs so that a call allocates
+   little beyond its result. [reset] empties every piece a run reads.
+
+   Paths live in a pool of slots, one structure of arrays: the parent
+   slot (-1 at the source), the last node, the step that node received
+   the copy, the hop count, and the visited-node bitset in [words]
+   63-bit words from [bits.{slot * words}]. A path is its last hop plus
+   a parent pointer, so an extension appends one slot, and parents
+   always precede their children. The pool lives outside the OCaml
+   heap: the kernel allocates almost nothing, so the GC would otherwise
+   pace its heap by the pool's live words alone. *)
+type scratch = {
+  mutable cap : int;  (* slots allocated *)
+  mutable size : int;  (* slots in use *)
+  mutable words : int;
+  mutable parent : ints;
+  mutable last : ints;
+  mutable born : ints;
+  mutable hops : ints;
+  mutable bits : ints;
+  mutable live_floor : int;  (* slots left after the last compaction *)
+  mutable forward : ints;  (* compaction marks, then new slot ids *)
+  mutable table : vec array;  (* per node: retained slots, nhops-ascending *)
+  mutable fresh : vec array;  (* per node: this step's new slots, in creation order *)
+  mutable merged : int array;  (* per node: the last step its table took new paths *)
+  mutable limit : int array;  (* per node: most hops a new path may have this step *)
+  touched : vec;  (* nodes with a non-empty [fresh] list *)
+  mutable buckets : vec array;  (* per hop count: slots to expand this step, LIFO *)
+  mutable spare : int array;  (* merge output, swapped with a table *)
+  mutable cur : csr;  (* this step's contacts *)
+  mutable prev : csr;  (* the previous step's contacts *)
+  fresh_edges : csr;  (* this step's contacts absent the previous step *)
+  mutable stamp : int array;  (* per node: last epoch that marked it *)
+  mutable component : int array;  (* per node: epoch of the step it met dst's component *)
+  mutable queue : int array;
+  mutable mask : int array;  (* bitset of dst's contacts this step *)
+  mutable epoch : int;  (* increases forever, so stamps never need clearing *)
 }
 
-let bitset_create n = Bytes.make ((n + 7) / 8) '\000'
+let create_scratch () =
+  {
+    cap = 0;
+    size = 0;
+    words = 0;
+    parent = ints 0;
+    last = ints 0;
+    born = ints 0;
+    hops = ints 0;
+    bits = ints 0;
+    live_floor = 0;
+    forward = ints 0;
+    table = [||];
+    fresh = [||];
+    merged = [||];
+    limit = [||];
+    touched = vec ();
+    buckets = [||];
+    spare = [||];
+    cur = csr ();
+    prev = csr ();
+    fresh_edges = csr ();
+    stamp = [||];
+    component = [||];
+    queue = [||];
+    mask = [||];
+    epoch = 0;
+  }
 
-let[@psn.hot] bitset_mem bs i = Char.code (Bytes.get bs (i lsr 3)) land (1 lsl (i land 7)) <> 0
+let scratch_key = Domain.DLS.new_key create_scratch
 
-let[@psn.hot] bitset_add bs i =
-  let byte = i lsr 3 in
-  Bytes.set bs byte (Char.chr (Char.code (Bytes.get bs byte) lor (1 lsl (i land 7))))
+let extend_vecs vs n = Array.init n (fun i -> if i < Array.length vs then vs.(i) else vec ())
 
-let[@psn.hot] bitset_remove bs i =
-  let byte = i lsr 3 in
-  Bytes.set bs byte (Char.chr (Char.code (Bytes.get bs byte) land lnot (1 lsl (i land 7)) land 0xff))
+(* Size the per-node state for [n] nodes and empty it. *)
+let reset s ~n =
+  let words = (n + 62) / 63 in
+  if Array.length s.table < n then begin
+    s.table <- extend_vecs s.table n;
+    s.fresh <- extend_vecs s.fresh n;
+    s.merged <- Array.make n 0;
+    s.limit <- Array.make n 0;
+    s.stamp <- Array.make n 0;
+    s.component <- Array.make n 0;
+    s.queue <- Array.make n 0
+  end;
+  if Array.length s.buckets < n + 2 then s.buckets <- extend_vecs s.buckets (n + 2);
+  if Array.length s.mask < words then s.mask <- Array.make words 0;
+  if s.words <> words then begin
+    s.words <- words;
+    s.bits <- ints (s.cap * words)
+  end;
+  Array.iter (fun v -> v.len <- 0) s.table;
+  Array.iter (fun v -> v.len <- 0) s.fresh;
+  Array.iter (fun v -> v.len <- 0) s.buckets;
+  Array.fill s.merged 0 (Array.length s.merged) min_int;
+  s.touched.len <- 0;
+  s.size <- 0;
+  s.live_floor <- 0
 
-let bitset_with bs i =
-  let copy = Bytes.copy bs in
-  bitset_add copy i;
-  copy
+(* ------------------------------------------------------------------ *)
+(* Pool                                                               *)
 
-let[@psn.hot] bitset_intersects a b =
-  let len = Bytes.length a in
-  let rec scan i =
-    if i >= len then false
-    else if Char.code (Bytes.get a i) land Char.code (Bytes.get b i) <> 0 then true
-    else scan (i + 1)
-  in
-  scan 0
+let[@inline] word_of v = v / 63
+let[@inline] bit_of v = 1 lsl (v mod 63)
+let[@inline] visited s slot v = get s.bits ((slot * s.words) + word_of v) land bit_of v <> 0
 
-(* Merge two nhops-ascending path lists, keeping the first [k]. *)
-let merge_k k xs ys =
-  let rec go n xs ys acc =
-    if n = 0 then List.rev acc
+let resize (a : ints) ~used ~len =
+  let b = ints len in
+  Bigarray.Array1.blit (Bigarray.Array1.sub a 0 used) (Bigarray.Array1.sub b 0 used);
+  b
+
+let grow_pool s =
+  let cap = Int.max 1024 (2 * s.cap) in
+  s.parent <- resize s.parent ~used:s.size ~len:cap;
+  s.last <- resize s.last ~used:s.size ~len:cap;
+  s.born <- resize s.born ~used:s.size ~len:cap;
+  s.hops <- resize s.hops ~used:s.size ~len:cap;
+  s.bits <- resize s.bits ~used:(s.size * s.words) ~len:(cap * s.words);
+  s.cap <- cap
+
+(* Append the path [parent] extended by the hop [(node, step)]; the
+   root has [parent = -1]. *)
+let[@psn.hot] append s ~parent ~node ~step =
+  if s.size = s.cap then (grow_pool s [@lint.allow "hot-path-alloc"]);
+  let q = s.size and w = s.words in
+  s.size <- q + 1;
+  set s.parent q parent;
+  set s.last q node;
+  set s.born q step;
+  if parent < 0 then begin
+    set s.hops q 1;
+    for i = q * w to (q * w) + w - 1 do
+      set s.bits i 0
+    done
+  end
+  else begin
+    set s.hops q (get s.hops parent + 1);
+    for i = 0 to w - 1 do
+      set s.bits ((q * w) + i) (get s.bits ((parent * w) + i))
+    done
+  end;
+  let i = (q * w) + word_of node in
+  set s.bits i (get s.bits i lor bit_of node);
+  q
+
+(* Mark-compact from the table roots. A slot is live when a table holds
+   it or a live slot descends from it; parents precede children, so one
+   backward pass marks and one forward pass slides live slots down in
+   place, re-pointing parents through the map as it goes. *)
+let compact s ~n =
+  if Bigarray.Array1.dim s.forward < s.size then s.forward <- ints s.cap;
+  let fwd = s.forward and w = s.words in
+  Bigarray.Array1.fill (Bigarray.Array1.sub fwd 0 s.size) 0;
+  for v = 0 to n - 1 do
+    let t = s.table.(v) in
+    for i = 0 to t.len - 1 do
+      set fwd t.data.(i) 1
+    done
+  done;
+  for slot = s.size - 1 downto 0 do
+    let parent = get s.parent slot in
+    if get fwd slot = 1 && parent >= 0 then set fwd parent 1
+  done;
+  let next = ref 0 in
+  for slot = 0 to s.size - 1 do
+    if get fwd slot = 1 then begin
+      let q = !next in
+      let parent = get s.parent slot in
+      set s.parent q (if parent >= 0 then get fwd parent else parent);
+      set s.last q (get s.last slot);
+      set s.born q (get s.born slot);
+      set s.hops q (get s.hops slot);
+      for i = 0 to w - 1 do
+        set s.bits ((q * w) + i) (get s.bits ((slot * w) + i))
+      done;
+      set fwd slot q;
+      incr next
+    end
+  done;
+  for v = 0 to n - 1 do
+    let t = s.table.(v) in
+    for i = 0 to t.len - 1 do
+      t.data.(i) <- get fwd t.data.(i)
+    done
+  done;
+  s.size <- !next;
+  s.live_floor <- !next
+
+(* ------------------------------------------------------------------ *)
+(* Per-step contact structure                                         *)
+
+let rec push_all v = function
+  | [] -> ()
+  | x :: rest ->
+    push v x;
+    push_all v rest
+
+let fill_csr c snap ~step ~n =
+  if Array.length c.start < n + 1 then c.start <- Array.make (n + 1) 0;
+  c.adj.len <- 0;
+  for u = 0 to n - 1 do
+    c.start.(u) <- c.adj.len;
+    if step >= 1 then push_all c.adj (Snapshot.neighbours snap ~step u)
+  done;
+  c.start.(n) <- c.adj.len
+
+(* Contacts of this step that were not present the previous step (all
+   of a node's contacts when it had none before). *)
+let fill_fresh s ~n =
+  let cur = s.cur and prev = s.prev and out = s.fresh_edges in
+  if Array.length out.start < n + 1 then out.start <- Array.make (n + 1) 0;
+  out.adj.len <- 0;
+  for u = 0 to n - 1 do
+    out.start.(u) <- out.adj.len;
+    let all = degree prev u = 0 in
+    s.epoch <- s.epoch + 1;
+    if not all then
+      for i = prev.start.(u) to prev.start.(u + 1) - 1 do
+        s.stamp.(prev.adj.data.(i)) <- s.epoch
+      done;
+    for i = cur.start.(u) to cur.start.(u + 1) - 1 do
+      let v = cur.adj.data.(i) in
+      if all || s.stamp.(v) <> s.epoch then push out.adj v
+    done
+  done;
+  out.start.(n) <- out.adj.len
+
+(* Stamp the nodes of [dst]'s contact component with a new epoch. *)
+let mark_component s ~dst =
+  s.epoch <- s.epoch + 1;
+  let e = s.epoch and cur = s.cur in
+  if degree cur dst > 0 then begin
+    s.component.(dst) <- e;
+    s.queue.(0) <- dst;
+    let head = ref 0 and tail = ref 1 in
+    while !head < !tail do
+      let x = s.queue.(!head) in
+      incr head;
+      for i = cur.start.(x) to cur.start.(x + 1) - 1 do
+        let y = cur.adj.data.(i) in
+        if s.component.(y) <> e then begin
+          s.component.(y) <- e;
+          s.queue.(!tail) <- y;
+          incr tail
+        end
+      done
+    done
+  end;
+  e
+
+(* ------------------------------------------------------------------ *)
+(* One run                                                            *)
+
+type state = {
+  s : scratch;
+  grid : Timegrid.t;
+  dst : int;
+  k : int;
+  hop_cap : int;
+  budget : int;
+  t_create : float;
+  exhaustive : bool;  (* every contact counts as fresh *)
+  mutable step : int;
+  mutable in_component : int;  (* epoch stamped on dst's component this step *)
+  mutable this_step : int;  (* arrivals recorded this step *)
+  mutable n_arrivals : int;
+  mutable stop : bool;  (* a stop threshold fired *)
+  mutable arrivals : arrival list;  (* newest first *)
+}
+
+let arrival_of st slot =
+  let s = st.s and step = st.step in
+  let rec hops slot acc =
+    if slot < 0 then acc
     else
-      match (xs, ys) with
-      | [], [] -> List.rev acc
-      | x :: xs', [] -> go (n - 1) xs' [] (x :: acc)
-      | [], y :: ys' -> go (n - 1) [] ys' (y :: acc)
-      | x :: xs', y :: ys' ->
-        if x.nhops <= y.nhops then go (n - 1) xs' ys (x :: acc) else go (n - 1) xs ys' (y :: acc)
+      hops (get s.parent slot) ({ Path.node = get s.last slot; step = get s.born slot } :: acc)
   in
-  go k xs ys []
+  let time = Timegrid.time_of_step st.grid step in
+  {
+    path = Path.of_hops (hops slot [ { Path.node = st.dst; step } ]);
+    step;
+    time;
+    duration = time -. st.t_create;
+  }
 
-let to_path ip ~dst ~step =
-  let hops = List.rev_map (fun (node, step) -> { Path.node; step }) ((dst, step) :: ip.hops_rev) in
-  Path.of_hops hops
+(* Expand one path along this step's contacts: an edge into the
+   destination is an arrival; any other edge [u -> v] yields a new path
+   when it keeps the path loop-free and its hop count within
+   [limit.(v)]. Paths still new, or held inside the destination's
+   component, use every edge; the rest only edges new this step. *)
+let[@psn.hot] expand st slot =
+  let s = st.s in
+  let u = get s.last slot and h = get s.hops slot in
+  let edges =
+    if
+      st.exhaustive
+      || get s.born slot >= st.step - 1
+      || s.component.(u) = st.in_component
+    then s.cur
+    else s.fresh_edges
+  in
+  for i = edges.start.(u) to edges.start.(u + 1) - 1 do
+    if not st.stop then begin
+      let v = edges.adj.data.(i) in
+      if v = st.dst then begin
+        if st.this_step < st.k && st.n_arrivals < st.budget then begin
+          st.arrivals <- (arrival_of st slot :: st.arrivals) [@lint.allow "hot-path-alloc"];
+          st.this_step <- st.this_step + 1;
+          st.n_arrivals <- st.n_arrivals + 1
+        end;
+        if st.this_step >= st.k || st.n_arrivals >= st.budget then st.stop <- true
+      end
+      else begin
+        if h + 1 <= s.limit.(v) && not (visited s slot v) then begin
+          let q = append s ~parent:slot ~node:v ~step:st.step in
+          let fresh = s.fresh.(v) in
+          if fresh.len = 0 then push s.touched v;
+          push fresh q;
+          if fresh.len = st.k then s.limit.(v) <- 0;
+          push s.buckets.(h + 1) q
+        end
+      end
+    end
+  done
+
+(* Drain the buckets in ascending hop order, so a node's candidates
+   arrive shortest first and the per-node k cut is exact. A new path
+   at [v] must stay within the hop cap and rank in [v]'s top k against
+   the start-of-step table: no more hops than its k-th path, since on
+   a tie the retained path stays ahead. [expand] zeroes the limit once
+   [v] has taken k new paths this step. *)
+let[@psn.hot] drain st ~n =
+  let s = st.s in
+  for v = 0 to n - 1 do
+    let table = s.table.(v) in
+    s.limit.(v) <-
+      (if table.len < st.k then st.hop_cap
+       else Int.min st.hop_cap (get s.hops table.data.(st.k - 1)))
+  done;
+  for h = 1 to n do
+    let bucket = s.buckets.(h) in
+    while (not st.stop) && bucket.len > 0 do
+      bucket.len <- bucket.len - 1;
+      expand st bucket.data.(bucket.len)
+    done
+  done
+
+(* Queue every retained path that can still produce a new extension or
+   delivery this step; returns whether any was queued. Outside the
+   destination's component and away from fresh edges only paths born
+   last step qualify, and a table that took no paths last step holds
+   none. *)
+let seed st ~n =
+  let s = st.s in
+  let any = ref false in
+  for u = 0 to n - 1 do
+    let table = s.table.(u) in
+    if u <> st.dst && table.len > 0 && degree s.cur u > 0 then begin
+      let all =
+        st.exhaustive || degree s.fresh_edges u > 0 || s.component.(u) = st.in_component
+      in
+      if all || s.merged.(u) >= st.step - 1 then
+        for i = 0 to table.len - 1 do
+          let slot = table.data.(i) in
+          if all || get s.born slot >= st.step - 1 then begin
+            any := true;
+            push s.buckets.(get s.hops slot) slot
+          end
+        done
+    end
+  done;
+  !any
+
+let rec meets_mask s base i =
+  i < s.words && (get s.bits (base + i) land s.mask.(i) <> 0 || meets_mask s base (i + 1))
+
+(* Keep the slots of [v] that visited no contact of the destination. *)
+let filter s v =
+  let j = ref 0 in
+  for i = 0 to v.len - 1 do
+    let slot = v.data.(i) in
+    if not (meets_mask s (slot * s.words) 0) then begin
+      v.data.(!j) <- slot;
+      incr j
+    end
+  done;
+  let dropped = v.len - !j in
+  v.len <- !j;
+  dropped
+
+(* First preference is retrospective: once a node meets the
+   destination, every path that ever passed through it (and was thus
+   deliverable at this step at the latest) may not produce later
+   deliveries. Drop every path whose visited set meets this step's
+   destination contacts, retained and new alike; their same-step
+   deliveries were already emitted. Returns the retained paths
+   dropped. *)
+let first_preference s ~n ~dst =
+  let cur = s.cur in
+  Array.fill s.mask 0 (Array.length s.mask) 0;
+  for i = cur.start.(dst) to cur.start.(dst + 1) - 1 do
+    let v = cur.adj.data.(i) in
+    s.mask.(word_of v) <- s.mask.(word_of v) lor bit_of v
+  done;
+  let dropped = ref 0 in
+  for w = 0 to n - 1 do
+    dropped := !dropped + filter s s.table.(w)
+  done;
+  for i = 0 to s.touched.len - 1 do
+    ignore (filter s s.fresh.(s.touched.data.(i)) : int)
+  done;
+  !dropped
+
+(* Merge each touched node's new paths into its table, keeping the
+   first [k] by hop count; on a tie the retained path stays ahead.
+   Returns the net change in retained paths. *)
+let merge s ~k ~step =
+  let delta = ref 0 in
+  for i = 0 to s.touched.len - 1 do
+    let v = s.touched.data.(i) in
+    let table = s.table.(v) and fresh = s.fresh.(v) in
+    let total = Int.min k (table.len + fresh.len) in
+    if Array.length s.spare < total then s.spare <- Array.make (Int.max total (2 * Array.length s.spare)) 0;
+    let out = s.spare in
+    let a = ref 0 and b = ref 0 in
+    for j = 0 to total - 1 do
+      if
+        !b >= fresh.len
+        || (!a < table.len && get s.hops table.data.(!a) <= get s.hops fresh.data.(!b))
+      then begin
+        out.(j) <- table.data.(!a);
+        incr a
+      end
+      else begin
+        out.(j) <- fresh.data.(!b);
+        incr b
+      end
+    done;
+    delta := !delta + total - table.len;
+    s.spare <- table.data;
+    table.data <- out;
+    table.len <- total;
+    fresh.len <- 0;
+    s.merged.(v) <- step
+  done;
+  s.touched.len <- 0;
+  !delta
 
 let run ?(config = default_config) snap ~src ~dst ~t_create =
   let n = Snapshot.n_nodes snap in
@@ -83,238 +506,60 @@ let run ?(config = default_config) snap ~src ~dst ~t_create =
   if config.k <= 0 then invalid_arg "Enumerate.run: k must be positive";
   let grid = Snapshot.grid snap in
   let c0 = Timegrid.step_of_time grid t_create in
-  let k = config.k in
-  let hop_cap = match config.max_hops with None -> n | Some h -> Int.min h n in
-  (* DP table: per node, the retained paths, nhops-ascending. *)
-  let table = Array.make n [] in
-  let table_size = Array.make n 0 in
-  table.(src) <-
-    [
-      {
-        last = src;
-        hops_rev = [ (src, c0) ];
-        nhops = 1;
-        visited = bitset_with (bitset_create n) src;
-        born = c0;
-      };
-    ];
-  table_size.(src) <- 1;
-  let live_paths = ref 1 in
-  let arrivals = ref [] in
-  let n_arrivals = ref 0 in
-  let stopped_early = ref false in
-  let steps_processed = ref 0 in
-  (* Dijkstra-style bucket queue over nhops keeps intra-step expansion in
-     ascending hop order, making the per-node k-shortest pruning exact. *)
-  let buckets = Array.make (n + 2) [] in
-  (* Scratch bitset for the fresh-edge computation, reused (and cleared
-     back to zero) every node of every step. *)
-  let prev_mask = bitset_create n in
-  let new_at = Array.make n [] in
-  let new_count = Array.make n 0 in
-  let touched = ref [] in
-  let total_budget () =
-    match config.stop_at_total with None -> max_int | Some t -> t
+  let s = Domain.DLS.get scratch_key in
+  reset s ~n;
+  let st =
+    {
+      s;
+      grid;
+      dst;
+      k = config.k;
+      hop_cap = (match config.max_hops with None -> n | Some h -> Int.min h n);
+      budget = (match config.stop_at_total with None -> max_int | Some t -> t);
+      t_create;
+      exhaustive = config.exhaustive;
+      step = c0;
+      in_component = 0;
+      this_step = 0;
+      n_arrivals = 0;
+      stop = false;
+      arrivals = [];
+    }
   in
-  let step = ref (c0 + 1) in
+  push s.table.(src) (append s ~parent:(-1) ~node:src ~step:c0);
+  s.merged.(src) <- c0;
+  let live = ref 1 in
+  let steps_processed = ref 0 in
+  if not config.exhaustive then fill_csr s.cur snap ~step:c0 ~n;
   let n_steps = Timegrid.n_steps grid in
-  (try
-     while !step <= n_steps do
-       let step_now = !step in
-       incr steps_processed;
-       let neighbours = Snapshot.neighbours snap ~step:step_now in
-       let dst_contacts = neighbours dst in
-       (* An extension of path p over edge (u, v) can enter v's table (or
-          deliver) only if p is newly created or the edge is newly
-          present: a static configuration already produced the same-hop,
-          earlier-time copies in the previous step, and ties keep the
-          earlier copy. Restricting extensions accordingly removes the
-          dominant steady-state cost without changing any output. *)
-       let prev_neighbours u =
-         if step_now = 1 then [] else Snapshot.neighbours snap ~step:(step_now - 1) u
-       in
-       let fresh_edges = Array.make n [] in
-       let has_fresh = Array.make n false in
-       for u = 0 to n - 1 do
-         let fresh =
-           if config.exhaustive then neighbours u
-           else begin
-             (* Membership in last step's neighbour set via a reusable
-                bitset: O(deg) per node where the old List.mem scan was
-                O(deg²) — the dominant per-step cost on dense steps. *)
-             match prev_neighbours u with
-             | [] -> neighbours u
-             | prev ->
-               List.iter (fun v -> bitset_add prev_mask v) prev;
-               let fresh =
-                 List.filter (fun v -> not (bitset_mem prev_mask v)) (neighbours u)
-               in
-               List.iter (fun v -> bitset_remove prev_mask v) prev;
-               fresh
-           end
-         in
-         fresh_edges.(u) <- fresh;
-         has_fresh.(u) <- not (List.is_empty fresh)
-       done;
-       (* Deliveries are different: every chain reaching the destination
-          this step is a distinct counted path even along static edges
-          (each step's traversal has its own timestamps), so inside the
-          destination's contact component everything must extend. *)
-       let in_dst_component = Array.make n false in
-       if not (List.is_empty dst_contacts) then
-         List.iter
-           (fun u -> in_dst_component.(u) <- true)
-           (Snapshot.component_of snap ~step:step_now dst);
-       (* Seed the buckets with retained paths that can still produce
-          novel extensions or deliveries this step. *)
-       let any_active = ref false in
-       for u = 0 to n - 1 do
-         if u <> dst && (not (List.is_empty table.(u))) && not (List.is_empty (neighbours u)) then
-           List.iter
-             (fun p ->
-               if p.born >= step_now - 1 || has_fresh.(u) || in_dst_component.(u) then begin
-                 any_active := true;
-                 buckets.(p.nhops) <- p :: buckets.(p.nhops)
-               end)
-             table.(u)
-       done;
-       if !any_active then begin
-         let step_time = Timegrid.time_of_step grid step_now in
-         let arrivals_this_step = ref 0 in
-         (* Threshold beyond which a candidate at node v cannot rank in
-            v's top k once merged with the old paths. *)
-         let kth_old = Array.make n max_int in
-         for v = 0 to n - 1 do
-           if table_size.(v) >= k then begin
-             let rec nth i = function
-               | x :: _ when i = k - 1 -> x.nhops
-               | _ :: rest -> nth (i + 1) rest
-               | [] -> max_int
-             in
-             kth_old.(v) <- nth 0 table.(v)
-           end
-         done;
-         (try
-            for h = 1 to n do
-              let rec drain () =
-                match buckets.(h) with
-                | [] -> ()
-                | p :: rest ->
-                  buckets.(h) <- rest;
-                  let u = p.last in
-                  let targets =
-                    if p.born >= step_now - 1 || in_dst_component.(u) then neighbours u
-                    else fresh_edges.(u)
-                  in
-                  List.iter
-                    (fun v ->
-                      if v = dst then begin
-                        if !arrivals_this_step < k && !n_arrivals < total_budget () then begin
-                          arrivals :=
-                            {
-                              path = to_path p ~dst ~step:step_now;
-                              step = step_now;
-                              time = step_time;
-                              duration = step_time -. t_create;
-                            }
-                            :: !arrivals;
-                          incr arrivals_this_step;
-                          incr n_arrivals
-                        end;
-                        if !arrivals_this_step >= k || !n_arrivals >= total_budget () then
-                          raise Exit
-                      end
-                      else if
-                        (not (bitset_mem p.visited v))
-                        && p.nhops < hop_cap
-                        && new_count.(v) < k
-                        && p.nhops + 1 <= kth_old.(v)
-                      then begin
-                        let q =
-                          {
-                            last = v;
-                            hops_rev = (v, step_now) :: p.hops_rev;
-                            nhops = p.nhops + 1;
-                            visited = bitset_with p.visited v;
-                            born = step_now;
-                          }
-                        in
-                        if new_count.(v) = 0 then touched := v :: !touched;
-                        new_at.(v) <- q :: new_at.(v);
-                        new_count.(v) <- new_count.(v) + 1;
-                        buckets.(q.nhops) <- q :: buckets.(q.nhops)
-                      end)
-                    targets;
-                  drain ()
-              in
-              drain ()
-            done
-          with Exit ->
-            (* A stop threshold fired mid-step; clear leftover buckets. *)
-            Array.fill buckets 0 (Array.length buckets) []);
-         (* First preference is retrospective: once a node meets the
-            destination, every path that ever passed through it (and was
-            thus deliverable at this step at the latest) may not produce
-            later deliveries. Build a mask of this step's destination
-            contacts and drop every path whose visited set intersects
-            it — both retained paths and this step's fresh ones. Their
-            same-step deliveries were already emitted above. *)
-         let d_mask =
-           if List.is_empty dst_contacts then None
-           else begin
-             let mask = bitset_create n in
-             List.iter (fun u -> bitset_add mask u) dst_contacts;
-             Some mask
-           end
-         in
-         let surviving paths =
-           match d_mask with
-           | None -> paths
-           | Some mask -> List.filter (fun p -> not (bitset_intersects p.visited mask)) paths
-         in
-         (match d_mask with
-         | None -> ()
-         | Some _ ->
-           for w = 0 to n - 1 do
-             if not (List.is_empty table.(w)) then begin
-               let kept = surviving table.(w) in
-               let sz = List.length kept in
-               live_paths := !live_paths - table_size.(w) + sz;
-               table.(w) <- kept;
-               table_size.(w) <- sz
-             end
-           done);
-         (* Merge this step's surviving new paths into the table. *)
-         List.iter
-           (fun v ->
-             let fresh = surviving (List.rev new_at.(v)) in
-             let before = table_size.(v) in
-             let merged = merge_k k table.(v) fresh in
-             table.(v) <- merged;
-             table_size.(v) <- List.length merged;
-             live_paths := !live_paths - before + table_size.(v);
-             new_at.(v) <- [];
-             new_count.(v) <- 0)
-           !touched;
-         touched := [];
-         if !arrivals_this_step >= k || !n_arrivals >= total_budget () then begin
-           stopped_early := true;
-           raise Exit
-         end
-       end;
-       if !live_paths = 0 then raise Exit;
-       incr step
-     done
-   with Exit -> ());
+  while (not st.stop) && !live > 0 && st.step < n_steps do
+    st.step <- st.step + 1;
+    incr steps_processed;
+    let prev = s.prev in
+    s.prev <- s.cur;
+    s.cur <- prev;
+    fill_csr s.cur snap ~step:st.step ~n;
+    if not config.exhaustive then fill_fresh s ~n;
+    st.in_component <- mark_component s ~dst;
+    if seed st ~n then begin
+      st.this_step <- 0;
+      drain st ~n;
+      if not st.stop then begin
+        if degree s.cur dst > 0 then live := !live - first_preference s ~n ~dst;
+        live := !live + merge s ~k:config.k ~step:st.step;
+        if s.size > (2 * s.live_floor) + 4096 then compact s ~n
+      end
+    end
+  done;
   {
-    arrivals = Array.of_list (List.rev !arrivals);
-    stopped_early = !stopped_early;
+    arrivals = Array.of_list (List.rev st.arrivals);
+    stopped_early = st.stop;
     steps_processed = !steps_processed;
     src;
     dst;
     t_create;
   }
 
-let first_arrival result = if Array.length result.arrivals = 0 then None else Some result.arrivals.(0)
+let first_arrival (result : result) = if Array.length result.arrivals = 0 then None else Some result.arrivals.(0)
 
-let arrival_times result = Array.map (fun a -> a.time) result.arrivals
+let arrival_times (result : result) = Array.map (fun a -> a.time) result.arrivals

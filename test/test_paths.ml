@@ -471,10 +471,11 @@ let test_oracle_fast_subset () =
    order. *)
 let golden_digest = "432f3c336e66be89"
 
-let test_golden_enumeration () =
+(* The infocom06_am snapshot and the first [count] messages the
+   enumeration study draws on it (its seed and draw order). *)
+let study_inputs count =
   let dataset = Core.Dataset.infocom06_am in
   let trace = Core.Dataset.generate dataset in
-  let snap = Snapshot.of_trace trace in
   let rng =
     Rng.create
       ~seed:
@@ -484,7 +485,7 @@ let test_golden_enumeration () =
   in
   let n = Trace.n_nodes trace in
   let messages =
-    List.init 8 (fun _ ->
+    List.init count (fun _ ->
         let src = Rng.int rng n in
         let dst =
           let r = Rng.int rng (n - 1) in
@@ -492,12 +493,17 @@ let test_golden_enumeration () =
         in
         (src, dst, Rng.float rng (Trace.horizon trace *. 2. /. 3.)))
   in
-  let encode exhaustive (src, dst, t_create) =
-    Core.Store_codec.encode_enumeration
-      (Enumerate.run
-         ~config:{ Enumerate.k = 200; max_hops = None; stop_at_total = Some 200; exhaustive }
-         snap ~src ~dst ~t_create)
-  in
+  (Snapshot.of_trace trace, messages)
+
+let encode_run ~k ?stop ~exhaustive snap (src, dst, t_create) =
+  Core.Store_codec.encode_enumeration
+    (Enumerate.run
+       ~config:{ Enumerate.k; max_hops = None; stop_at_total = stop; exhaustive }
+       snap ~src ~dst ~t_create)
+
+let test_golden_enumeration () =
+  let snap, messages = study_inputs 8 in
+  let encode exhaustive = encode_run ~k:200 ~stop:200 ~exhaustive snap in
   let runs =
     List.map (encode false) messages
     @ List.map (encode true) (List.filteri (fun i _ -> i < 2) messages)
@@ -506,6 +512,30 @@ let test_golden_enumeration () =
     List.fold_left (fun acc s -> Core.Fnv.of_string ~init:acc s) (Core.Fnv.of_string "") runs
   in
   Alcotest.(check string) "digest" golden_digest (Core.Fnv.to_hex digest)
+
+(* The enumerator keeps its buffers in a per-domain scratch reused
+   across calls. Runs of different sizes interleaved in one domain
+   must encode exactly as first runs in fresh domains do. *)
+let test_scratch_reuse () =
+  let big_snap, messages = study_inputs 1 in
+  let big () = encode_run ~k:2000 ~stop:2000 ~exhaustive:false big_snap (List.hd messages) in
+  let small_snap =
+    Snapshot.of_trace
+      (Trace.create ~n_nodes:7 ~horizon:60.
+         (List.concat_map
+            (fun r ->
+              [
+                Contact.make ~a:0 ~b:r ~t_start:11. ~t_end:19.;
+                Contact.make ~a:r ~b:6 ~t_start:31. ~t_end:39.;
+              ])
+            [ 1; 2; 3; 4; 5 ]))
+  in
+  let small () = encode_run ~k:3 ~exhaustive:false small_snap (0, 6, 0.) in
+  let fresh f = Domain.join (Domain.spawn f) in
+  let big_first = fresh big and small_first = fresh small in
+  Alcotest.(check string) "large run" big_first (big ());
+  Alcotest.(check string) "small run after a large one" small_first (small ());
+  Alcotest.(check string) "large run after a small one" big_first (big ())
 
 (* --- Explosion --- *)
 
@@ -620,6 +650,7 @@ let () =
           Alcotest.test_case "exhaustive = brute force" `Slow test_oracle_exhaustive;
           Alcotest.test_case "fast mode within brute force" `Slow test_oracle_fast_subset;
           Alcotest.test_case "golden enumeration digest" `Slow test_golden_enumeration;
+          Alcotest.test_case "scratch reuse across runs" `Slow test_scratch_reuse;
         ] );
       ( "explosion",
         [
