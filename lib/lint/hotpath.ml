@@ -1,7 +1,7 @@
 (* Hot-path allocation pass (rule [hot-path-alloc]).
 
    Functions annotated [@psn.hot] — engine drain kernels, the
-   enumeration bitset primitives — promise to run allocation-free.
+   enumeration drain — promise to run allocation-free.
    The promise is transitive: a helper that conses three modules away
    still costs the hot caller, so the pass computes, over the call
    graph, which definitions can reach an allocation, and reports:

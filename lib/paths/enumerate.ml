@@ -253,7 +253,7 @@ let fill_csr c snap ~step ~n =
   c.adj.len <- 0;
   for u = 0 to n - 1 do
     c.start.(u) <- c.adj.len;
-    if step >= 1 then push_all c.adj (Snapshot.neighbours snap ~step u)
+    push_all c.adj (Snapshot.neighbours snap ~step u)
   done;
   c.start.(n) <- c.adj.len
 
@@ -318,7 +318,7 @@ type state = {
   mutable this_step : int;  (* arrivals recorded this step *)
   mutable n_arrivals : int;
   mutable stop : bool;  (* a stop threshold fired *)
-  mutable arrivals : arrival list;  (* newest first *)
+  mutable emitted : arrival list;  (* newest first *)
 }
 
 let arrival_of st slot =
@@ -357,7 +357,7 @@ let[@psn.hot] expand st slot =
       let v = edges.adj.data.(i) in
       if v = st.dst then begin
         if st.this_step < st.k && st.n_arrivals < st.budget then begin
-          st.arrivals <- (arrival_of st slot :: st.arrivals) [@lint.allow "hot-path-alloc"];
+          st.emitted <- (arrival_of st slot :: st.emitted) [@lint.allow "hot-path-alloc"];
           st.this_step <- st.this_step + 1;
           st.n_arrivals <- st.n_arrivals + 1
         end;
@@ -473,7 +473,8 @@ let merge s ~k ~step =
     let v = s.touched.data.(i) in
     let table = s.table.(v) and fresh = s.fresh.(v) in
     let total = Int.min k (table.len + fresh.len) in
-    if Array.length s.spare < total then s.spare <- Array.make (Int.max total (2 * Array.length s.spare)) 0;
+    if Array.length s.spare < total then
+      s.spare <- Array.make (Int.max total (2 * Array.length s.spare)) 0;
     let out = s.spare in
     let a = ref 0 and b = ref 0 in
     for j = 0 to total - 1 do
@@ -523,18 +524,16 @@ let run ?(config = default_config) snap ~src ~dst ~t_create =
       this_step = 0;
       n_arrivals = 0;
       stop = false;
-      arrivals = [];
+      emitted = [];
     }
   in
   push s.table.(src) (append s ~parent:(-1) ~node:src ~step:c0);
   s.merged.(src) <- c0;
   let live = ref 1 in
-  let steps_processed = ref 0 in
   if not config.exhaustive then fill_csr s.cur snap ~step:c0 ~n;
   let n_steps = Timegrid.n_steps grid in
   while (not st.stop) && !live > 0 && st.step < n_steps do
     st.step <- st.step + 1;
-    incr steps_processed;
     let prev = s.prev in
     s.prev <- s.cur;
     s.cur <- prev;
@@ -552,14 +551,14 @@ let run ?(config = default_config) snap ~src ~dst ~t_create =
     end
   done;
   {
-    arrivals = Array.of_list (List.rev st.arrivals);
+    arrivals = Array.of_list (List.rev st.emitted);
     stopped_early = st.stop;
-    steps_processed = !steps_processed;
+    steps_processed = st.step - c0;
     src;
     dst;
     t_create;
   }
 
-let first_arrival (result : result) = if Array.length result.arrivals = 0 then None else Some result.arrivals.(0)
+let first_arrival result = if Array.length result.arrivals = 0 then None else Some result.arrivals.(0)
 
-let arrival_times (result : result) = Array.map (fun a -> a.time) result.arrivals
+let arrival_times result = Array.map (fun a -> a.time) result.arrivals

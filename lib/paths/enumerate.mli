@@ -1,9 +1,9 @@
 (** k-shortest valid-path enumeration (the paper's Fig. 3 algorithm).
 
-    Dynamic programming over the space-time graph: at each timestep an
-    N x k table holds, per node, the (up to) [k] fewest-hop valid paths
-    from the source reaching that node so far. Each step, retained paths
-    extend along zero-weight contact chains within the step (recording
+    Dynamic programming over the space-time graph: at each timestep a
+    per-node table holds the (up to) [k] fewest-hop valid paths from the
+    source reaching that node so far. Each step, retained paths extend
+    along zero-weight contact chains within the step (recording
     intermediate nodes, enforcing loop-freedom); arrivals at the
     destination are emitted; paths held by a node in direct contact with
     the destination are delivered and not extended to later steps (first
@@ -11,7 +11,16 @@
 
     Enumeration stops when [k] or more paths reach the destination
     within a single step, when an optional cumulative arrival budget is
-    hit, when no live path remains, or at the end of the trace. *)
+    hit, when no live path remains, or at the end of the trace.
+
+    The kernel keeps paths in a pool of slots, a structure of arrays
+    outside the OCaml heap: parent slot, last node, receipt step, hop
+    count and a visited-node bitset. An extension appends one slot, and
+    a {!Path.t} is rebuilt by walking parents only for an arrival.
+    Tables, per-step new paths and hop buckets are vectors of slot ids,
+    and the pool is compacted from the table roots. All buffers live in
+    a per-domain scratch reused across calls, so a run allocates little
+    beyond its result. *)
 
 type config = {
   k : int;  (** Paths retained per node, and the one-step stop threshold
@@ -24,14 +33,15 @@ type config = {
   exhaustive : bool;
       (** When [false] (the default), paths only extend when they are
           newly created, the edge is newly present, or the holding node
-          is inside the destination's contact component. This leaves
-          first arrivals and all deliveries identical to the exhaustive
-          algorithm (see the implementation note) while skipping the
-          steady-state re-extensions that dominate runtime; the only
-          deviation is that a node whose table was drained by a
-          first-preference kill is not refilled from static neighbours,
-          a second-order undercount of retained (not delivered) paths.
-          Set [true] for the paper's exact per-step behaviour. *)
+          is inside the destination's contact component. This skips the
+          steady-state re-extensions that dominate runtime. Fast mode's
+          arrivals are a subset of the exhaustive ones with the same
+          first arrival, but it can miss deliveries: re-crossing a
+          static edge at a later receipt step is a distinct valid path,
+          and fast mode does not re-extend along it. On the six
+          enumeration-study messages at k = n* = 2000 both modes give
+          the same arrival count, T1 and TE. Set [true] for the paper's
+          exact per-step behaviour. *)
 }
 
 val default_config : config
