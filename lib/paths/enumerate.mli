@@ -34,11 +34,12 @@ type config = {
       (** When [false] (the default), paths only extend when they are
           newly created, the edge is newly present, or the holding node
           is inside the destination's contact component. This skips the
-          steady-state re-extensions that dominate runtime. Fast mode's
-          arrivals are a subset of the exhaustive ones with the same
-          first arrival, but it can miss deliveries: re-crossing a
-          static edge at a later receipt step is a distinct valid path,
-          and fast mode does not re-extend along it. On the six
+          steady-state re-extensions that dominate runtime. Fast mode
+          finds the same first arrival, and with unbounded [k] its
+          arrivals are a subset of the exhaustive ones, but it can miss
+          deliveries: re-crossing a static edge at a later receipt step
+          is a distinct valid path, and fast mode does not re-extend
+          along it. On the six
           enumeration-study messages at k = n* = 2000 both modes give
           the same arrival count, T1 and TE. Set [true] for the paper's
           exact per-step behaviour. *)

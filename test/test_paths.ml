@@ -172,9 +172,8 @@ let test_enumerate_same_step_chain_delivery () =
   Alcotest.(check int) "one path" 1 (Array.length result.Enumerate.arrivals);
   Alcotest.check feps "delivered in step 2" 20. result.Enumerate.arrivals.(0).Enumerate.time
 
-let test_enumerate_k_stop () =
-  (* A clique of relays creates many paths in the same step; with a tiny
-     k the enumeration stops at that step and reports stopped_early. *)
+(* Five relays 1-5 each meet node 0 in step 2 and node 6 in step 4. *)
+let relay_snapshot () =
   let contacts =
     List.concat_map
       (fun r ->
@@ -184,24 +183,18 @@ let test_enumerate_k_stop () =
         ])
       [ 1; 2; 3; 4; 5 ]
   in
-  let t = Trace.create ~n_nodes:7 ~horizon:60. contacts in
-  let snap = Snapshot.of_trace t in
+  Snapshot.of_trace (Trace.create ~n_nodes:7 ~horizon:60. contacts)
+
+let test_enumerate_k_stop () =
+  (* A clique of relays creates many paths in the same step; with a tiny
+     k the enumeration stops at that step and reports stopped_early. *)
+  let snap = relay_snapshot () in
   let result = run ~k:3 snap ~src:0 ~dst:6 ~t_create:0. in
   Alcotest.(check bool) "stopped early" true result.Enumerate.stopped_early;
   Alcotest.(check int) "k arrivals recorded" 3 (Array.length result.Enumerate.arrivals)
 
 let test_enumerate_stop_at_total () =
-  let contacts =
-    List.concat_map
-      (fun r ->
-        [
-          Contact.make ~a:0 ~b:r ~t_start:11. ~t_end:19.;
-          Contact.make ~a:r ~b:6 ~t_start:31. ~t_end:39.;
-        ])
-      [ 1; 2; 3; 4; 5 ]
-  in
-  let t = Trace.create ~n_nodes:7 ~horizon:60. contacts in
-  let snap = Snapshot.of_trace t in
+  let snap = relay_snapshot () in
   let result = run ~k:100 ~stop:2 snap ~src:0 ~dst:6 ~t_create:0. in
   Alcotest.(check bool) "stopped early" true result.Enumerate.stopped_early;
   Alcotest.(check int) "two arrivals" 2 (Array.length result.Enumerate.arrivals)
@@ -519,17 +512,7 @@ let test_golden_enumeration () =
 let test_scratch_reuse () =
   let big_snap, messages = study_inputs 1 in
   let big () = encode_run ~k:2000 ~stop:2000 ~exhaustive:false big_snap (List.hd messages) in
-  let small_snap =
-    Snapshot.of_trace
-      (Trace.create ~n_nodes:7 ~horizon:60.
-         (List.concat_map
-            (fun r ->
-              [
-                Contact.make ~a:0 ~b:r ~t_start:11. ~t_end:19.;
-                Contact.make ~a:r ~b:6 ~t_start:31. ~t_end:39.;
-              ])
-            [ 1; 2; 3; 4; 5 ]))
-  in
+  let small_snap = relay_snapshot () in
   let small () = encode_run ~k:3 ~exhaustive:false small_snap (0, 6, 0.) in
   let fresh f = Domain.join (Domain.spawn f) in
   let big_first = fresh big and small_first = fresh small in
