@@ -734,14 +734,7 @@ let () =
       let factories = List.map (fun e -> e.Core.Registry.factory) entries in
       let st = Core.Store.open_ ~dir:options.store_dir () in
       ignore (Core.Store.gc st ~max_bytes:0);
-      let caches =
-        let trace_hash = Core.Store_key.trace_hash trace in
-        List.map
-          (fun (e : Core.Registry.entry) ->
-            Core.Store_memo.runner_cache ~store:st ~trace_hash ~workload
-              ~algo:e.Core.Registry.name ())
-          entries
-      in
+      let caches = E.entry_caches st ~trace ~workload entries in
       let time jobs =
         let t0 = Core.Clock.now_s () in
         let metrics = Core.Runner.run_many ~jobs ~stores:caches ~trace ~spec ~factories () in
@@ -928,14 +921,7 @@ let () =
           Fun.protect ~finally:Core.Failpoint.uninstall time_sweep
       in
       let st = Core.Store.open_ ~dir:options.store_dir () in
-      let caches =
-        let trace_hash = Core.Store_key.trace_hash trace in
-        List.map
-          (fun (e : Core.Registry.entry) ->
-            Core.Store_memo.runner_cache ~store:st ~trace_hash ~workload
-              ~algo:e.Core.Registry.name ())
-          entries
-      in
+      let caches = E.entry_caches st ~trace ~workload entries in
       let time_ckpt checkpoint =
         ignore (Core.Store.gc st ~max_bytes:0);
         let t0 = Core.Clock.now_s () in

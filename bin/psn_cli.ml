@@ -76,17 +76,14 @@ let k_arg =
   let doc = "Enumeration parameter k (per-node retention and stop threshold)." in
   Arg.(value & opt int 2000 & info [ "k" ] ~docv:"K" ~doc)
 
+(* --- sweep execution: shared flags and one side-effect order --- *)
+
 let jobs_arg =
   let doc =
     "Worker domains for multi-seed simulation and multi-message enumeration sweeps. \
      Defaults to the number of cores; results are identical for any value."
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let resolve_jobs = function
-  | None -> Core.Parallel.default_jobs ()
-  | Some j when j >= 1 -> j
-  | Some _ -> exit_usage "--jobs must be at least 1"
 
 let chunk_arg =
   let doc =
@@ -111,24 +108,6 @@ let store_arg =
 let resolve_store ?telemetry =
   Option.map (fun dir -> or_die (fun () -> Core.Store.open_ ?telemetry ~dir ()))
 
-(* Run [f] with the opened store (if any) and report what the store
-   contributed to this invocation. *)
-let with_store_report store f =
-  match store with
-  | None -> f None
-  | Some st ->
-    let before = Core.Store.stats st in
-    let r = f (Some st) in
-    let after = Core.Store.stats st in
-    Format.printf "store %s: %Ld hit(s), %Ld miss(es) this run; %d entries (%d bytes)@."
-      (Core.Store.dir st)
-      (Int64.sub after.Core.Store.hits before.Core.Store.hits)
-      (Int64.sub after.Core.Store.misses before.Core.Store.misses)
-      after.Core.Store.entries after.Core.Store.bytes;
-    r
-
-(* --- robustness: failpoints, retries, checkpoint/resume --- *)
-
 let failpoints_arg =
   let doc =
     "Deterministic fault injection: comma-separated $(i,site=action) rules where action is \
@@ -142,13 +121,16 @@ let failpoint_seed_arg =
   let doc = "Seed of probabilistic ($(i,%P)) failpoint verdicts." in
   Arg.(value & opt int64 0L & info [ "failpoint-seed" ] ~docv:"SEED" ~doc)
 
+let failpoint_plan spec fp_seed =
+  Option.map
+    (fun s ->
+      match Core.Failpoint.parse ~seed:fp_seed s with
+      | Ok plan -> plan
+      | Error msg -> exit_usage msg)
+    spec
+
 let install_failpoints spec fp_seed =
-  match spec with
-  | None -> ()
-  | Some s -> (
-    match Core.Failpoint.parse ~seed:fp_seed s with
-    | Ok plan -> Core.Failpoint.install plan
-    | Error msg -> exit_usage msg)
+  Option.iter Core.Failpoint.install (failpoint_plan spec fp_seed)
 
 let retries_arg =
   let doc =
@@ -156,8 +138,6 @@ let retries_arg =
      (deterministic backoff). Permanent failures are reported, never retried."
   in
   Arg.(value & opt int 0 & info [ "retries" ] ~docv:"N" ~doc)
-
-let resolve_retries r = if r >= 0 then r else exit_usage "--retries must be non-negative"
 
 let checkpoint_arg =
   let doc =
@@ -167,11 +147,6 @@ let checkpoint_arg =
   in
   Arg.(value & opt (some int) None & info [ "checkpoint" ] ~docv:"N" ~doc)
 
-let resolve_checkpoint ~store = function
-  | Some c when c >= 0 -> c
-  | Some _ -> exit_usage "--checkpoint must be non-negative"
-  | None -> if Option.is_some store then 32 else 0
-
 let resume_flag =
   let doc =
     "Resume an interrupted sweep: cells already checkpointed in the --store replay \
@@ -180,30 +155,45 @@ let resume_flag =
   in
   Arg.(value & flag & info [ "resume" ] ~doc)
 
-let check_resume ~store resume =
-  if resume && Option.is_none store then
-    exit_usage "--resume requires --store DIR (checkpoints live in the store)"
+(* The eight execution flags of every sweep subcommand, validated when
+   the term is evaluated — before the command's body runs, so a bad
+   value exits 2 before any side effect. [--resume] needs no field:
+   with a store, checkpointed cells replay on their own. *)
+type exec = {
+  jobs : int;
+  chunk : int option;
+  store_dir : string option;
+  failpoints : Core.Failpoint.plan option;
+  retries : int;
+  checkpoint : int;
+}
 
-(* Sweep subcommands: catch the cooperative-interrupt exception raised
-   at checkpoint boundaries, flush telemetry (so --trace/--profile
-   still produce output) and exit with the conventional 128+signal. *)
-let run_sweep ~finish f =
-  Core.Interrupt.install ();
-  match f () with
-  | () -> ()
-  | exception Core.Interrupt.Interrupted n ->
-    Printf.eprintf "psn: interrupted by signal %d; completed work is checkpointed\n%!" n;
-    finish ();
-    exit (Core.Interrupt.exit_code n)
+let exec_term =
+  let make jobs chunk store_dir failpoints fp_seed retries checkpoint resume =
+    let jobs =
+      match jobs with
+      | None -> Core.Parallel.default_jobs ()
+      | Some j when j >= 1 -> j
+      | Some _ -> exit_usage "--jobs must be at least 1"
+    in
+    let chunk = resolve_chunk chunk in
+    if retries < 0 then exit_usage "--retries must be non-negative";
+    if resume && Option.is_none store_dir then
+      exit_usage "--resume requires --store DIR (checkpoints live in the store)";
+    let checkpoint =
+      match checkpoint with
+      | Some c when c >= 0 -> c
+      | Some _ -> exit_usage "--checkpoint must be non-negative"
+      | None -> if Option.is_some store_dir then 32 else 0
+    in
+    let failpoints = failpoint_plan failpoints fp_seed in
+    { jobs; chunk; store_dir; failpoints; retries; checkpoint }
+  in
+  Term.(
+    const make $ jobs_arg $ chunk_arg $ store_arg $ failpoints_arg $ failpoint_seed_arg
+    $ retries_arg $ checkpoint_arg $ resume_flag)
 
 (* --- telemetry --- *)
-
-(* Atomic text write (temp + rename): a scraper or validator reading
-   the path never observes a half-written exposition. *)
-let write_text_atomic ~path text =
-  let tmp = path ^ ".tmp" in
-  Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc text);
-  Sys.rename tmp path
 
 let metrics_arg =
   let doc =
@@ -229,6 +219,18 @@ let profile_flag =
   in
   Arg.(value & flag & info [ "profile" ] ~doc)
 
+type telemetry = { trace_out : string option; profile : bool; metrics : string option }
+
+let no_telemetry = { trace_out = None; profile = false; metrics = None }
+
+(* The sweeps' telemetry flags. The trace flag's name differs per
+   command; [profile] replaces --profile for a command that always
+   profiles. *)
+let telemetry_term ?(profile = profile_flag) trace_names =
+  Term.(
+    const (fun trace_out profile metrics -> { trace_out; profile; metrics })
+    $ trace_out_arg trace_names $ profile $ metrics_arg)
+
 (* Recording is wired up only when asked for: with neither --trace nor
    --profile the sink stays null, so the instrumented hot paths cost a
    pattern match. [finish] must run after all of the command's work and
@@ -238,7 +240,7 @@ type telemetry_ctx = {
   finish : store:Core.Store.t option -> unit;
 }
 
-let telemetry_ctx ~command ~trace_out ~profile ~metrics =
+let telemetry_ctx ~command { trace_out; profile; metrics } =
   if Option.is_none trace_out && not profile && Option.is_none metrics then
     { sink = Core.Telemetry.Sink.null; finish = (fun ~store:_ -> ()) }
   else begin
@@ -261,7 +263,7 @@ let telemetry_ctx ~command ~trace_out ~profile ~metrics =
       | None -> ()
       | Some path ->
         or_die (fun () ->
-            write_text_atomic ~path
+            Core.Atomic_file.write ~path
               (Core.Openmetrics.render (Core.Openmetrics.of_summary summary)));
         Format.printf "wrote metrics to %s@." path);
       if profile then begin
@@ -280,6 +282,38 @@ let telemetry_ctx ~command ~trace_out ~profile ~metrics =
     in
     { sink; finish }
   end
+
+(* The one place that orders a sweep's side effects: install the
+   failpoints, start telemetry, open the store (recording into the
+   telemetry), install the interrupt handler, run [f] with the opened
+   store and the telemetry sink, report what the store contributed,
+   print [f]'s report, flush telemetry. The
+   cooperative interrupt raised at a checkpoint boundary still flushes
+   telemetry (so --trace/--profile produce output) and exits with the
+   conventional 128+signal. *)
+let with_sweep ~command ?(telemetry = no_telemetry) exec f =
+  Option.iter Core.Failpoint.install exec.failpoints;
+  let ctx = telemetry_ctx ~command telemetry in
+  let store = resolve_store ~telemetry:ctx.sink exec.store_dir in
+  Core.Interrupt.install ();
+  let before = Option.map Core.Store.stats store in
+  match or_die (fun () -> f exec ~store ~sink:ctx.sink) with
+  | exception Core.Interrupt.Interrupted n ->
+    Printf.eprintf "psn: interrupted by signal %d; completed work is checkpointed\n%!" n;
+    ctx.finish ~store;
+    exit (Core.Interrupt.exit_code n)
+  | report ->
+    (match (store, before) with
+    | Some st, Some before ->
+      let after = Core.Store.stats st in
+      Format.printf "store %s: %Ld hit(s), %Ld miss(es) this run; %d entries (%d bytes)@."
+        (Core.Store.dir st)
+        (Int64.sub after.Core.Store.hits before.Core.Store.hits)
+        (Int64.sub after.Core.Store.misses before.Core.Store.misses)
+        after.Core.Store.entries after.Core.Store.bytes
+    | _ -> ());
+    print_endline report;
+    ctx.finish ~store
 
 (* --- generate --- *)
 
@@ -375,11 +409,9 @@ let explosion_cmd =
   let messages =
     Arg.(value & opt int 60 & info [ "messages" ] ~docv:"N" ~doc:"Messages to sample.")
   in
-  let run dataset seed messages k jobs chunk store trace_out profile metrics failpoints fp_seed
-      retries checkpoint resume =
-    let retries = resolve_retries retries in
-    check_resume ~store resume;
-    let checkpoint = resolve_checkpoint ~store checkpoint in
+  let run dataset seed messages k exec telemetry =
+    if messages < 1 then exit_usage "--messages must be at least 1";
+    if k < 1 then exit_usage "-k must be at least 1";
     match Core.Dataset.find dataset with
     | Error msg -> exit_usage msg
     | Ok d ->
@@ -392,34 +424,25 @@ let explosion_cmd =
           rng_seed = Option.value seed ~default:17L;
         }
       in
-      install_failpoints failpoints fp_seed;
-      let ctx = telemetry_ctx ~command:"explosion" ~trace_out ~profile ~metrics in
-      let store = resolve_store ~telemetry:ctx.sink store in
-      run_sweep
-        ~finish:(fun () -> ctx.finish ~store)
-        (fun () ->
+      with_sweep ~command:"explosion" ~telemetry exec (fun ex ~store ~sink ->
           let study =
-            with_store_report store (fun store ->
-                Core.Experiments.enumeration_study ~jobs:(resolve_jobs jobs)
-                  ?chunk:(resolve_chunk chunk) ?store ~retries ~checkpoint ~scale
-                  ~telemetry:ctx.sink d)
+            Core.Experiments.enumeration_study ~jobs:ex.jobs ?chunk:ex.chunk ?store
+              ~retries:ex.retries ~checkpoint:ex.checkpoint ~scale ~telemetry:sink d
           in
-          print_endline
-            (Core.Report.render_cdfs ~title:"CDF of optimal path duration (s)"
-               (Core.Experiments.fig4a [ study ]));
-          print_endline
-            (Core.Report.render_cdfs ~title:"CDF of time to explosion (s)"
-               (Core.Experiments.fig4b [ study ]));
-          print_endline
-            (Core.Report.render_scatter_by_pair ~title:"T1 vs TE by pair type"
-               (Core.Experiments.fig8 study));
-          ctx.finish ~store)
+          String.concat "\n"
+            [
+              Core.Report.render_cdfs ~title:"CDF of optimal path duration (s)"
+                (Core.Experiments.fig4a [ study ]);
+              Core.Report.render_cdfs ~title:"CDF of time to explosion (s)"
+                (Core.Experiments.fig4b [ study ]);
+              Core.Report.render_scatter_by_pair ~title:"T1 vs TE by pair type"
+                (Core.Experiments.fig8 study);
+            ])
   in
   let term =
     Term.(
-      const run $ dataset_arg $ seed_arg $ messages $ k_arg $ jobs_arg $ chunk_arg $ store_arg
-      $ trace_out_arg [ "trace" ] $ profile_flag $ metrics_arg $ failpoints_arg
-      $ failpoint_seed_arg $ retries_arg $ checkpoint_arg $ resume_flag)
+      const run $ dataset_arg $ seed_arg $ messages $ k_arg $ exec_term
+      $ telemetry_term [ "trace" ])
   in
   Cmd.v
     (Cmd.info "explosion" ~doc:"Measure path-explosion statistics over random messages.")
@@ -437,14 +460,8 @@ let simulate_cmd =
     Arg.(value & opt (some string) None & info [ "a"; "algorithms" ] ~docv:"NAMES" ~doc)
   in
   let seeds = Arg.(value & opt int 3 & info [ "seeds" ] ~docv:"N" ~doc:"Runs to average.") in
-  let run dataset seed trace_path algorithms seeds jobs chunk store trace_out profile metrics
-      failpoints fp_seed retries checkpoint resume =
-    let jobs = resolve_jobs jobs in
-    let chunk = resolve_chunk chunk in
+  let run dataset seed trace_path algorithms seeds exec telemetry =
     if seeds < 1 then exit_usage "--seeds must be at least 1";
-    let retries = resolve_retries retries in
-    check_resume ~store resume;
-    let checkpoint = resolve_checkpoint ~store checkpoint in
     let entries =
       match algorithms with
       | None -> Core.Registry.paper_six
@@ -456,75 +473,22 @@ let simulate_cmd =
                | Error msg -> exit_usage msg)
     in
     let label, trace = resolve_trace dataset seed trace_path in
-    install_failpoints failpoints fp_seed;
-    let ctx = telemetry_ctx ~command:"simulate" ~trace_out ~profile ~metrics in
-    let workload = Core.Workload.paper_spec ~n_nodes:(Core.Trace.n_nodes trace) in
-    let spec = { Core.Runner.workload; seeds = Core.Runner.default_seeds seeds } in
-    (* One batch over the whole algorithm × seed grid. *)
-    let store = resolve_store ~telemetry:ctx.sink store in
-    run_sweep
-      ~finish:(fun () -> ctx.finish ~store)
-      (fun () ->
-        let cells =
-          with_store_report store (fun store ->
-              let stores =
-                Option.map
-                  (fun st ->
-                    let trace_hash = Core.Store_key.trace_hash trace in
-                    List.map
-                      (fun (e : Core.Registry.entry) ->
-                        Core.Store_memo.runner_cache ~store:st ~trace_hash ~workload
-                          ~algo:e.Core.Registry.name ())
-                      entries)
-                  store
-              in
-              or_die (fun () ->
-                  Core.Runner.outcomes_many_result ~jobs ?chunk ?stores ~retries
-                    ~checkpoint ~telemetry:ctx.sink ~trace ~spec
-                    ~factories:
-                      (List.map
-                         (fun (e : Core.Registry.entry) -> e.Core.Registry.factory)
-                         entries)
-                    ()))
+    with_sweep ~command:"simulate" ~telemetry exec (fun ex ~store ~sink ->
+        let sim =
+          Core.Experiments.sim_study_of_trace ~jobs:ex.jobs ?chunk:ex.chunk ?store
+            ~retries:ex.retries ~checkpoint:ex.checkpoint ~entries ~telemetry:sink ~seeds
+            trace
         in
-        (* A failed (algorithm, seed) cell costs one FAILED line, never
-           the table; an algorithm whose every seed failed has nothing
-           to pool and is honestly absent from it. *)
-        let rows =
-          List.concat
-            (List.map2
-               (fun (e : Core.Registry.entry) cell_list ->
-                 match List.filter_map Result.to_option cell_list with
-                 | [] -> []
-                 | outs -> [ (e.Core.Registry.label, Core.Metrics.pool outs) ])
-               entries cells)
-        in
-        let failed =
-          List.concat
-            (List.map2
-               (fun (e : Core.Registry.entry) cell_list ->
-                 List.concat
-                   (List.map2
-                      (fun seed cell ->
-                        match cell with
-                        | Ok (_ : Core.Engine.outcome) -> []
-                        | Error ex ->
-                          [ (e.Core.Registry.label, seed, Core.Failpoint.describe ex) ])
-                      spec.Core.Runner.seeds cell_list))
-               entries cells)
-        in
-        print_endline
-          (Core.Report.render_metrics
-             ~title:(Printf.sprintf "Forwarding performance (%s, %d seeds)" label seeds)
-             rows
-          ^ Core.Report.render_failed_cells ~title:"Failed simulation cells" failed);
-        ctx.finish ~store)
+        Core.Report.render_metrics
+          ~title:(Printf.sprintf "Forwarding performance (%s, %d seeds)" label seeds)
+          (Core.Experiments.fig9 sim)
+        ^ Core.Report.render_failed_cells ~title:"Failed simulation cells"
+            sim.Core.Experiments.sim_failed)
   in
   let term =
     Term.(
-      const run $ dataset_arg $ seed_arg $ trace_arg $ algorithms $ seeds $ jobs_arg $ chunk_arg
-      $ store_arg $ trace_out_arg [ "trace-out" ] $ profile_flag $ metrics_arg $ failpoints_arg
-      $ failpoint_seed_arg $ retries_arg $ checkpoint_arg $ resume_flag)
+      const run $ dataset_arg $ seed_arg $ trace_arg $ algorithms $ seeds $ exec_term
+      $ telemetry_term [ "trace-out" ])
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run forwarding algorithms over a trace and report S and D.")
@@ -576,15 +540,10 @@ let resilience_cmd =
       & info [ "probes" ] ~docv:"N"
           ~doc:"Messages whose path survival is enumerated per level.")
   in
-  let run dataset seed loss crash_rate down_time jitter intensities fault_seed seeds probes jobs
-      chunk store trace_out profile metrics failpoints fp_seed retries checkpoint resume =
-    let jobs = resolve_jobs jobs in
-    let chunk = resolve_chunk chunk in
+  let run dataset seed loss crash_rate down_time jitter intensities fault_seed seeds probes exec
+      telemetry =
     if seeds < 1 then exit_usage "--seeds must be at least 1";
     if probes < 1 then exit_usage "--probes must be at least 1";
-    let retries = resolve_retries retries in
-    check_resume ~store resume;
-    let checkpoint = resolve_checkpoint ~store checkpoint in
     let base =
       {
         Core.Faults.loss;
@@ -615,33 +574,19 @@ let resilience_cmd =
           rng_seed = Option.value seed ~default:17L;
         }
       in
-      install_failpoints failpoints fp_seed;
-      let ctx = telemetry_ctx ~command:"resilience" ~trace_out ~profile ~metrics in
-      let store = resolve_store ~telemetry:ctx.sink store in
-      run_sweep
-        ~finish:(fun () -> ctx.finish ~store)
-        (fun () ->
-          let study =
-            with_store_report store (fun store ->
-                or_die (fun () ->
-                    Core.Experiments.resilience_study ~jobs ?chunk ?store ~retries ~checkpoint
-                      ~scale ~base ~intensities ~path_messages:probes ~telemetry:ctx.sink d))
-          in
-          print_endline
-            (Core.Report.render_resilience
-               ~title:
-                 (Printf.sprintf
-                    "Resilience: the paper's six algorithms under injected faults (%s)"
-                    d.Core.Dataset.label)
-               study);
-          ctx.finish ~store)
+      with_sweep ~command:"resilience" ~telemetry exec (fun ex ~store ~sink ->
+          Core.Report.render_resilience
+            ~title:
+              (Printf.sprintf "Resilience: the paper's six algorithms under injected faults (%s)"
+                 d.Core.Dataset.label)
+            (Core.Experiments.resilience_study ~jobs:ex.jobs ?chunk:ex.chunk ?store
+               ~retries:ex.retries ~checkpoint:ex.checkpoint ~scale ~base ~intensities
+               ~path_messages:probes ~telemetry:sink d))
   in
   let term =
     Term.(
       const run $ dataset_arg $ seed_arg $ loss $ crash_rate $ down_time $ jitter $ intensities
-      $ fault_seed $ seeds $ probes $ jobs_arg $ chunk_arg $ store_arg
-      $ trace_out_arg [ "trace" ] $ profile_flag $ metrics_arg $ failpoints_arg
-      $ failpoint_seed_arg $ retries_arg $ checkpoint_arg $ resume_flag)
+      $ fault_seed $ seeds $ probes $ exec_term $ telemetry_term [ "trace" ])
   in
   Cmd.v
     (Cmd.info "resilience"
@@ -847,7 +792,7 @@ let serve_cmd =
     (* Arm before the failpoints can trip: an injected crash dumps the
        recorder from inside the failpoint site itself. *)
     Option.iter (fun path -> Core.Flight.arm path) flight_out;
-    let ctx = telemetry_ctx ~command:"serve" ~trace_out ~profile ~metrics:None in
+    let ctx = telemetry_ctx ~command:"serve" { trace_out; profile; metrics = None } in
     let store = resolve_store ~telemetry:ctx.sink store in
     let server =
       let fresh () =
@@ -880,7 +825,7 @@ let serve_cmd =
     let write_metrics () =
       match metrics_out with
       | None -> ()
-      | Some path -> write_text_atomic ~path (Core.Serve.metrics_text server)
+      | Some path -> Core.Atomic_file.write ~path (Core.Serve.metrics_text server)
     in
     let drain () =
       (if Option.is_some store then
@@ -979,13 +924,8 @@ let experiment_cmd =
       & info [ "dump" ] ~docv:"DIR"
           ~doc:"Also write the figure's data series as gnuplot-ready .dat files into $(docv).")
   in
-  let run figure dataset seed messages dump_dir jobs chunk store failpoints fp_seed retries
-      checkpoint resume =
-    let jobs = resolve_jobs jobs in
-    let chunk = resolve_chunk chunk in
-    let retries = resolve_retries retries in
-    check_resume ~store resume;
-    let checkpoint = resolve_checkpoint ~store checkpoint in
+  let run figure dataset seed messages dump_dir exec =
+    if messages < 1 then exit_usage "--messages must be at least 1";
     match Core.Dataset.find dataset with
     | Error msg -> exit_usage msg
     | Ok d ->
@@ -1014,64 +954,76 @@ let experiment_cmd =
           rng_seed = Option.value seed ~default:17L;
         }
       in
-      install_failpoints failpoints fp_seed;
-      run_sweep ~finish:(fun () -> ()) (fun () ->
-      let text =
-        with_store_report (resolve_store store) (fun store ->
-        let study =
-          lazy (E.enumeration_study ~jobs ?chunk ?store ~retries ~checkpoint ~scale d)
-        in
-        let sim = lazy (E.sim_study ~jobs ?chunk ?store ~retries ~checkpoint ~scale d) in
+      (* The figure is chosen (and an unknown id rejected) before the
+         sweep opens anything; it renders from the lazily computed
+         enumeration and simulation studies. *)
+      let render =
         match figure with
-        | "fig1" -> R.render_timeseries ~title:"Fig 1: contacts over time" (E.fig1 [ d ])
-        | "fig2" -> "== Fig 2: example space-time graph ==\n" ^ E.fig2 ()
+        | "fig1" -> fun _ _ -> R.render_timeseries ~title:"Fig 1: contacts over time" (E.fig1 [ d ])
+        | "fig2" -> fun _ _ -> "== Fig 2: example space-time graph ==\n" ^ E.fig2 ()
         | "fig4" ->
-          let a = E.fig4a [ Lazy.force study ] and b = E.fig4b [ Lazy.force study ] in
-          dump_cdfs "fig4a" a;
-          dump_cdfs "fig4b" b;
-          R.render_cdfs ~title:"Fig 4a: optimal path duration" a
-          ^ "\n"
-          ^ R.render_cdfs ~title:"Fig 4b: time to explosion" b
+          fun study _ ->
+            let a = E.fig4a [ Lazy.force study ] and b = E.fig4b [ Lazy.force study ] in
+            dump_cdfs "fig4a" a;
+            dump_cdfs "fig4b" b;
+            R.render_cdfs ~title:"Fig 4a: optimal path duration" a
+            ^ "\n"
+            ^ R.render_cdfs ~title:"Fig 4b: time to explosion" b
         | "fig5" ->
-          let points = E.fig5 (Lazy.force study) in
-          dump_scatter "fig5" points;
-          R.render_scatter ~title:"Fig 5: T1 vs TE" points
-        | "fig6" -> R.render_histogram ~title:"Fig 6: arrivals after T1" (E.fig6 (Lazy.force study))
+          fun study _ ->
+            let points = E.fig5 (Lazy.force study) in
+            dump_scatter "fig5" points;
+            R.render_scatter ~title:"Fig 5: T1 vs TE" points
+        | "fig6" ->
+          fun study _ -> R.render_histogram ~title:"Fig 6: arrivals after T1" (E.fig6 (Lazy.force study))
         | "fig7" ->
-          let cdfs = E.fig7 [ d ] in
-          dump_cdfs "fig7" cdfs;
-          R.render_cdfs ~title:"Fig 7: per-node contact counts" cdfs
+          fun _ _ ->
+            let cdfs = E.fig7 [ d ] in
+            dump_cdfs "fig7" cdfs;
+            R.render_cdfs ~title:"Fig 7: per-node contact counts" cdfs
         | "fig8" ->
-          R.render_scatter_by_pair ~title:"Fig 8: T1 vs TE by pair type" (E.fig8 (Lazy.force study))
+          fun study _ ->
+            R.render_scatter_by_pair ~title:"Fig 8: T1 vs TE by pair type" (E.fig8 (Lazy.force study))
         | "fig9" ->
-          let sim = Lazy.force sim in
-          R.render_metrics ~title:"Fig 9: delay vs success" (E.fig9 sim)
-          ^ R.render_failed_cells ~title:"Failed simulation cells"
-              sim.E.sim_failed
+          fun _ sim ->
+            let sim = Lazy.force sim in
+            R.render_metrics ~title:"Fig 9: delay vs success" (E.fig9 sim)
+            ^ R.render_failed_cells ~title:"Failed simulation cells" sim.E.sim_failed
         | "fig10" ->
-          let cdfs = E.fig10 (Lazy.force sim) in
-          dump_cdfs "fig10" cdfs;
-          R.render_cdfs ~title:"Fig 10: delay distributions" cdfs
+          fun _ sim ->
+            let cdfs = E.fig10 (Lazy.force sim) in
+            dump_cdfs "fig10" cdfs;
+            R.render_cdfs ~title:"Fig 10: delay distributions" cdfs
         | "fig11" ->
-          R.render_cumulative ~title:"Fig 11: cumulative deliveries" (E.fig11 (Lazy.force study))
+          fun study _ ->
+            R.render_cumulative ~title:"Fig 11: cumulative deliveries" (E.fig11 (Lazy.force study))
         | "fig12" ->
-          R.render_fig12 ~title:"Fig 12: algorithm paths within bursts"
-            (E.fig12 (Lazy.force study) ~n_examples:2)
+          fun study _ ->
+            R.render_fig12 ~title:"Fig 12: algorithm paths within bursts"
+              (E.fig12 (Lazy.force study) ~n_examples:2)
         | "fig13" ->
-          let sim = Lazy.force sim in
-          R.render_metrics_by_pair ~title:"Fig 13: performance by pair type" (E.fig13 sim)
-          ^ R.render_failed_cells ~title:"Failed simulation cells" sim.E.sim_failed
-        | "fig14" -> R.render_hop_rates ~title:"Fig 14: hop rates" (E.fig14 (Lazy.force study))
-        | "fig15" -> R.render_hop_ratios ~title:"Fig 15: hop rate ratios" (E.fig15 (Lazy.force study))
-        | other -> exit_usage (Printf.sprintf "unknown experiment %S" other))
+          fun _ sim ->
+            let sim = Lazy.force sim in
+            R.render_metrics_by_pair ~title:"Fig 13: performance by pair type" (E.fig13 sim)
+            ^ R.render_failed_cells ~title:"Failed simulation cells" sim.E.sim_failed
+        | "fig14" ->
+          fun study _ -> R.render_hop_rates ~title:"Fig 14: hop rates" (E.fig14 (Lazy.force study))
+        | "fig15" ->
+          fun study _ ->
+            R.render_hop_ratios ~title:"Fig 15: hop rate ratios" (E.fig15 (Lazy.force study))
+        | other -> exit_usage (Printf.sprintf "unknown experiment %S" other)
       in
-      print_endline text)
+      with_sweep ~command:"experiment" exec (fun ex ~store ~sink ->
+          render
+            (lazy
+              (E.enumeration_study ~jobs:ex.jobs ?chunk:ex.chunk ?store ~retries:ex.retries
+                 ~checkpoint:ex.checkpoint ~scale ~telemetry:sink d))
+            (lazy
+              (E.sim_study ~jobs:ex.jobs ?chunk:ex.chunk ?store ~retries:ex.retries
+                 ~checkpoint:ex.checkpoint ~scale ~telemetry:sink d)))
   in
   let term =
-    Term.(
-      const run $ figure $ dataset_arg $ seed_arg $ messages $ dump $ jobs_arg $ chunk_arg
-      $ store_arg $ failpoints_arg $ failpoint_seed_arg $ retries_arg $ checkpoint_arg
-      $ resume_flag)
+    Term.(const run $ figure $ dataset_arg $ seed_arg $ messages $ dump $ exec_term)
   in
   Cmd.v (Cmd.info "experiment" ~doc:"Reproduce one figure of the paper on one dataset.") term
 
@@ -1238,15 +1190,9 @@ let profile_cmd =
   let seeds =
     Arg.(value & opt int 2 & info [ "seeds" ] ~docv:"N" ~doc:"Simulation runs per algorithm.")
   in
-  let run dataset seed messages seeds jobs chunk store trace_out metrics failpoints fp_seed
-      retries checkpoint resume =
-    let jobs = resolve_jobs jobs in
-    let chunk = resolve_chunk chunk in
+  let run dataset seed messages seeds exec telemetry =
     if seeds < 1 then exit_usage "--seeds must be at least 1";
     if messages < 1 then exit_usage "--messages must be at least 1";
-    let retries = resolve_retries retries in
-    check_resume ~store resume;
-    let checkpoint = resolve_checkpoint ~store checkpoint in
     match Core.Dataset.find dataset with
     | Error msg -> exit_usage msg
     | Ok d ->
@@ -1258,37 +1204,25 @@ let profile_cmd =
           rng_seed = Option.value seed ~default:17L;
         }
       in
-      install_failpoints failpoints fp_seed;
-      let ctx = telemetry_ctx ~command:"profile" ~trace_out ~profile:true ~metrics in
-      let store = resolve_store ~telemetry:ctx.sink store in
-      run_sweep
-        ~finish:(fun () -> ctx.finish ~store)
-        (fun () ->
-          let study, sim =
-            with_store_report store (fun store ->
-                or_die (fun () ->
-                    let study =
-                      Core.Experiments.enumeration_study ~jobs ?chunk ?store ~retries
-                        ~checkpoint ~scale ~telemetry:ctx.sink d
-                    in
-                    let sim =
-                      Core.Experiments.sim_study ~jobs ?chunk ?store ~retries ~checkpoint
-                        ~scale ~telemetry:ctx.sink d
-                    in
-                    (study, sim)))
+      with_sweep ~command:"profile" ~telemetry exec (fun ex ~store ~sink ->
+          let study =
+            Core.Experiments.enumeration_study ~jobs:ex.jobs ?chunk:ex.chunk ?store
+              ~retries:ex.retries ~checkpoint:ex.checkpoint ~scale ~telemetry:sink d
           in
-          Format.printf "profiled %s: %d enumeration(s), %d algorithm(s) x %d seed(s)@."
+          let sim =
+            Core.Experiments.sim_study ~jobs:ex.jobs ?chunk:ex.chunk ?store
+              ~retries:ex.retries ~checkpoint:ex.checkpoint ~scale ~telemetry:sink d
+          in
+          Printf.sprintf "profiled %s: %d enumeration(s), %d algorithm(s) x %d seed(s)"
             d.Core.Dataset.label
             (List.length study.Core.Experiments.messages)
             (List.length sim.Core.Experiments.runs)
-            seeds;
-          ctx.finish ~store)
+            seeds)
   in
   let term =
     Term.(
-      const run $ dataset_arg $ seed_arg $ messages $ seeds $ jobs_arg $ chunk_arg $ store_arg
-      $ trace_out_arg [ "trace" ] $ metrics_arg $ failpoints_arg $ failpoint_seed_arg
-      $ retries_arg $ checkpoint_arg $ resume_flag)
+      const run $ dataset_arg $ seed_arg $ messages $ seeds $ exec_term
+      $ telemetry_term ~profile:(Term.const true) [ "trace" ])
   in
   Cmd.v
     (Cmd.info "profile"

@@ -20,6 +20,7 @@
 
 (* Deterministic collections *)
 module Det_tbl = Psn_det.Det_tbl
+module Atomic_file = Psn_det.Atomic_file
 
 (* Randomness *)
 module Rng = Psn_prng.Rng

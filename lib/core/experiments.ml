@@ -256,8 +256,6 @@ let fig15 study = Hops.rate_ratios_by_hop study.classify (pooled_paths study)
 (* ---- Simulation studies (Figs. 9, 10, 12, 13) ---- *)
 
 type sim_study = {
-  sim_dataset : Dataset.t;
-  sim_trace : Trace.t;
   sim_classify : Classify.t;
   runs : (Registry.entry * Engine.outcome list) list;
   sim_failed : (string * int64 * string) list;
@@ -292,19 +290,11 @@ let entry_caches store ~trace ?faults ~workload entries =
         ~algo:e.Registry.name ())
     entries
 
-let sim_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default_scale)
-    ?(entries = Registry.paper_six) ?(telemetry = T.Sink.null) dataset =
-  T.with_span telemetry "experiments.sim_study"
-    ~args:[ ("dataset", T.Str dataset.Dataset.label) ]
-  @@ fun () ->
-  T.begin_span telemetry "experiments.setup";
-  let trace = Dataset.generate dataset in
+let sim_study_of_trace ?jobs ?chunk ?store ?retries ?checkpoint
+    ?(entries = Registry.paper_six) ?(telemetry = T.Sink.null) ~seeds trace =
   let workload = Workload.paper_spec ~n_nodes:(Trace.n_nodes trace) in
-  let spec =
-    { Psn_sim.Runner.workload; seeds = Psn_sim.Runner.default_seeds scale.seeds }
-  in
+  let spec = { Psn_sim.Runner.workload; seeds = Psn_sim.Runner.default_seeds seeds } in
   let stores = Option.map (fun st -> entry_caches st ~trace ~workload entries) store in
-  T.end_span telemetry;
   (* One parallel batch over the whole algorithm × seed grid; a failed
      (algorithm, seed) cell costs one cell of the study, never the
      study. *)
@@ -316,12 +306,19 @@ let sim_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default_scale)
   in
   let runs = List.map2 (fun e cell_list -> (e, ok_cells cell_list)) entries cells in
   {
-    sim_dataset = dataset;
-    sim_trace = trace;
     sim_classify = Classify.of_trace trace;
     runs;
     sim_failed = failed_cells entries spec.Psn_sim.Runner.seeds cells;
   }
+
+let sim_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default_scale) ?entries
+    ?(telemetry = T.Sink.null) dataset =
+  T.with_span telemetry "experiments.sim_study"
+    ~args:[ ("dataset", T.Str dataset.Dataset.label) ]
+  @@ fun () ->
+  let trace = T.with_span telemetry "experiments.setup" (fun () -> Dataset.generate dataset) in
+  sim_study_of_trace ?jobs ?chunk ?store ?retries ?checkpoint ?entries ~telemetry
+    ~seeds:scale.seeds trace
 
 let fig9 study =
   (* An algorithm whose every seed failed has nothing to pool; its

@@ -115,8 +115,6 @@ val fig15 : study -> (string * Psn_stats.Boxplot.t) list
 (** {1 Figures 9, 10, 12, 13 (forwarding side)} *)
 
 type sim_study = {
-  sim_dataset : Psn_trace.Dataset.t;
-  sim_trace : Psn_trace.Trace.t;
   sim_classify : Classify.t;
   runs : (Psn_forwarding.Registry.entry * Psn_sim.Engine.outcome list) list;
       (** Per algorithm, the outcomes of its {e successful} seeds (all
@@ -126,6 +124,31 @@ type sim_study = {
           {!Psn_sim.Runner.outcomes_many_result} instead of aborting
           the study. Empty on a healthy run. *)
 }
+
+val sim_study_of_trace :
+  ?jobs:int ->
+  ?chunk:int ->
+  ?store:Psn_store.Store.t ->
+  ?retries:int ->
+  ?checkpoint:int ->
+  ?entries:Psn_forwarding.Registry.entry list ->
+  ?telemetry:Psn_telemetry.Telemetry.sink ->
+  seeds:int ->
+  Psn_trace.Trace.t ->
+  sim_study
+(** Run each algorithm ([entries] defaults to the paper's six) over
+    [seeds] Poisson workloads on the given trace (rate 1/4 s over the
+    first two hours, as in §6.1). The algorithm × seed grid is one
+    parallel batch over [jobs] domains, claimed in ranges of [chunk]
+    tasks; output is independent of [jobs] and [chunk]. [store], when
+    given, memoizes each (algorithm, seed) outcome — a warm store
+    replays the study bit-identically without running the engine.
+    [retries] retries transient cell failures deterministically;
+    [checkpoint] (with a store) makes the sweep resumable in rounds of
+    that many cells. A cell that still fails lands in [sim_failed]
+    rather than aborting the study. [telemetry] (default null) threads
+    through to the runner and engine; this function opens no span of
+    its own. *)
 
 val sim_study :
   ?jobs:int ->
@@ -138,19 +161,21 @@ val sim_study :
   ?telemetry:Psn_telemetry.Telemetry.sink ->
   Psn_trace.Dataset.t ->
   sim_study
-(** Run each algorithm ([entries] defaults to the paper's six) over
-    [scale.seeds] Poisson workloads (rate 1/4 s over the first two
-    hours, as in §6.1). The algorithm × seed grid is one parallel batch
-    over [jobs] domains, claimed in ranges of [chunk] tasks; output is
-    independent of [jobs] and [chunk]. [store], when
-    given, memoizes each (algorithm, seed) outcome — a warm store
-    replays the study bit-identically without running the engine.
-    [retries] retries transient cell failures deterministically;
-    [checkpoint] (with a store) makes the sweep resumable in rounds of
-    that many cells. A cell that still fails lands in [sim_failed]
-    rather than aborting the study. [telemetry] (default null) wraps
-    the study in phase spans and threads through to the runner and
-    engine. *)
+(** {!sim_study_of_trace} over the dataset's generated trace with
+    [scale.seeds] seeds, wrapped in an [experiments.sim_study] span
+    (trace generation is its [experiments.setup] child). *)
+
+val entry_caches :
+  Psn_store.Store.t ->
+  trace:Psn_trace.Trace.t ->
+  ?faults:Psn_sim.Faults.spec ->
+  workload:Psn_sim.Workload.spec ->
+  Psn_forwarding.Registry.entry list ->
+  Psn_sim.Cache.t list
+(** One store-backed outcome cache per entry, in order, keyed on the
+    trace's content hash, the workload, the optional fault spec and
+    each entry's registry name — the [stores] argument
+    {!Psn_sim.Runner} takes for an algorithm grid. *)
 
 val fig9 : sim_study -> (string * Psn_sim.Metrics.t) list
 (** Average delay and success rate per algorithm — one Fig. 9 panel.

@@ -12,14 +12,7 @@ let slug s =
 let write_lines ~dir ~file lines =
   ensure_dir dir;
   let path = Filename.concat dir file in
-  (* Write-to-temp then rename so a crash mid-write never leaves a
-     truncated data file where a previous complete one stood. *)
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> List.iter (fun line -> output_string oc (line ^ "\n")) lines);
-  Sys.rename tmp path;
+  Psn_det.Atomic_file.write ~path (String.concat "" (List.map (fun line -> line ^ "\n") lines));
   path
 
 let write_cdfs ~dir ~name cdfs =

@@ -68,6 +68,7 @@ let read_file path =
 
 (* [fp] names the failpoint site between the temp write and the
    commit rename — the window a crash matrix must be able to hit. *)
+(* Own copy: Psn_det.Atomic_file.write has no hook between write and rename. *)
 let write_atomic ?fp path data =
   let tmp = path ^ ".tmp" in
   let oc = Out_channel.open_bin tmp in

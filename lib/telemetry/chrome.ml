@@ -140,9 +140,4 @@ let to_json (summary : Telemetry.summary) =
   Buffer.add_string b "\n],\"displayTimeUnit\":\"ms\"}\n";
   Buffer.contents b
 
-let save summary ~path =
-  let tmp = path ^ ".tmp" in
-  let oc = Out_channel.open_bin tmp in
-  Out_channel.output_string oc (to_json summary);
-  Out_channel.close oc;
-  Sys.rename tmp path
+let save summary ~path = Psn_det.Atomic_file.write ~path (to_json summary)

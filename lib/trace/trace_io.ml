@@ -127,13 +127,7 @@ let of_string text =
         | trace -> (
           match Trace.validate trace with Ok () -> Ok trace | Error msg -> Error msg))))
 
-let save trace ~path =
-  (* Write-to-temp then rename: a crash mid-write can leave a stray
-     [.tmp] but never a truncated trace under the requested name. *)
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string trace));
-  Sys.rename tmp path
+let save trace ~path = Psn_det.Atomic_file.write ~path (to_string trace)
 
 let load ~path =
   match open_in path with

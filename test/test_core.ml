@@ -66,6 +66,33 @@ let test_json_escape () =
   Alcotest.(check string) "escaped" {|a\"b\\c\nd\te\rf\u0001g|} (Psn_det.Json.escape s);
   Alcotest.(check string) "utf-8 passes through" "caf\xc3\xa9" (Psn_det.Json.escape "caf\xc3\xa9")
 
+(* --- Atomic_file --- *)
+
+(* A successful write replaces the file and leaves no temp file; a
+   failed one (here the rename onto an existing directory) re-raises
+   and removes its temp file. *)
+let test_atomic_file () =
+  let dir = Filename.temp_file "psnatomic" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let path = Filename.concat dir "out.txt" in
+  let read () = In_channel.with_open_bin path In_channel.input_all in
+  Psn_det.Atomic_file.write ~path "first\n";
+  Psn_det.Atomic_file.write ~path "second\n";
+  Alcotest.(check string) "replaced" "second\n" (read ());
+  let blocked = Filename.concat dir "blocked" in
+  Sys.mkdir blocked 0o755;
+  Sys.mkdir (Filename.concat blocked "child") 0o755;
+  (match Psn_det.Atomic_file.write ~path:blocked "x" with
+  | () -> Alcotest.fail "rename onto a non-empty directory succeeded"
+  | exception Sys_error _ -> ());
+  Alcotest.(check (list string)) "no temp file left" [ "blocked"; "out.txt" ]
+    (List.sort String.compare (Array.to_list (Sys.readdir dir)));
+  Sys.rmdir (Filename.concat blocked "child");
+  Sys.rmdir blocked;
+  Sys.remove path;
+  Sys.rmdir dir
+
 (* --- Classify --- *)
 
 let test_classify_median_split () =
@@ -346,6 +373,7 @@ let () =
           Alcotest.test_case "duplicate keys" `Quick test_det_tbl_duplicate_keys;
         ] );
       ("json", [ Alcotest.test_case "escape" `Quick test_json_escape ]);
+      ("atomic_file", [ Alcotest.test_case "replace and clean up" `Quick test_atomic_file ]);
       ( "classify",
         [
           Alcotest.test_case "median split" `Quick test_classify_median_split;
