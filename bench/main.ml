@@ -1,30 +1,24 @@
-(* Benchmark harness: regenerates every figure of the paper's
-   evaluation as printed series/tables, then (unless --no-micro) runs
-   Bechamel micro-benchmarks of the hot kernels.
+(* Benchmark harness: renders the paper's evaluation figures from the
+   shared figure table (Core.Report.figure) over multi-dataset
+   overlays, plus the analytic-model tables, the related-work checks
+   and the design ablations, which nothing else prints.
 
-   Usage: main.exe [--quick | --paper] [--only fig4,fig9,...]
-                   [--no-micro] [--jobs N]
+   Usage: main.exe [--quick | --paper] [--only fig4,fig9,...] [--jobs N]
 
    The default scale preserves every figure's shape while finishing in
    minutes; --paper matches the paper's parameters (1800 messages,
-   k = 2000, 10 seeds) and takes correspondingly longer. The `parallel`
-   section times the multi-seed runner sequentially vs fanned over
-   domains and records the comparison to BENCH_parallel.json; the
-   `serve` section measures the online server (ingest throughput,
-   query latency, memory cap, adaptive routing under faults) and
-   records BENCH_serve.json. *)
+   k = 2000, 10 seeds) and takes correspondingly longer. The
+   `resilience` section records BENCH_resilience.json; the `serve`
+   section checks the online server's memory cap and compares adaptive
+   with static routing under faults in BENCH_serve.json. Timings of the
+   runner, store and server live in perfbench/, which repeats its runs
+   and reports a noise band. *)
 
 module E = Core.Experiments
 module R = Core.Report
 module Dataset = Core.Dataset
 
-type options = {
-  scale : E.scale;
-  only : string list option;
-  micro : bool;
-  jobs : int;
-  store_dir : string;
-}
+type options = { scale : E.scale; only : string list option; jobs : int }
 
 let quick_scale =
   { E.default_scale with E.n_messages = 30; seeds = 1; hop_paths_per_message = 100 }
@@ -32,9 +26,7 @@ let quick_scale =
 let parse_args () =
   let scale = ref E.default_scale in
   let only = ref None in
-  let micro = ref true in
   let jobs = ref (Core.Parallel.default_jobs ()) in
-  let store_dir = ref "_psn_bench_store" in
   let rec go = function
     | [] -> ()
     | "--quick" :: rest ->
@@ -42,9 +34,6 @@ let parse_args () =
       go rest
     | "--paper" :: rest ->
       scale := E.paper_scale;
-      go rest
-    | "--no-micro" :: rest ->
-      micro := false;
       go rest
     | "--only" :: spec :: rest ->
       only := Some (String.split_on_char ',' spec |> List.map String.trim);
@@ -56,18 +45,13 @@ let parse_args () =
         Printf.eprintf "--jobs expects a positive integer, got %s\n" n;
         exit 2);
       go rest
-    | "--store" :: dir :: rest ->
-      store_dir := dir;
-      go rest
     | arg :: _ ->
       Printf.eprintf
-        "unknown argument %s\n\
-         usage: main.exe [--quick|--paper] [--only ids] [--no-micro] [--jobs N] [--store DIR]\n"
-        arg;
+        "unknown argument %s\nusage: main.exe [--quick|--paper] [--only ids] [--jobs N]\n" arg;
       exit 2
   in
   go (List.tl (Array.to_list Sys.argv));
-  { scale = !scale; only = !only; micro = !micro; jobs = !jobs; store_dir = !store_dir }
+  { scale = !scale; only = !only; jobs = !jobs }
 
 let wanted options id =
   match options.only with None -> true | Some ids -> List.mem id ids
@@ -79,67 +63,12 @@ let section options id render =
     Printf.printf "%s\n[%s took %.1fs]\n\n%!" text id (Core.Clock.now_s () -. t0)
   end
 
-(* Studies are built lazily and cached so --only runs stay cheap. *)
-let lazy_memo f =
-  let cell = ref None in
-  fun () ->
-    match !cell with
-    | Some v -> v
-    | None ->
-      let v = f () in
-      cell := Some v;
-      v
-
-let micro_benchmarks () =
-  Printf.printf "== Micro-benchmarks (Bechamel) ==\n%!";
-  let open Bechamel in
-  let trace =
-    Core.Generator.generate
-      ~rng:(Core.Rng.create ~seed:3L ())
-      {
-        Core.Generator.default with
-        Core.Generator.n_mobile = 30;
-        n_stationary = 8;
-        horizon = 1800.;
-        mean_contacts = 40.;
-      }
-  in
-  let snap = Core.Snapshot.of_trace trace in
-  let messages =
-    Core.Workload.fixed_count
-      ~rng:(Core.Rng.create ~seed:4L ())
-      { Core.Workload.rate = 0.25; t_start = 0.; t_end = 1200.; n_nodes = 38 }
-      ~count:50
-  in
-  let tests =
-    [
-      Test.make ~name:"snapshot.of_trace" (Staged.stage (fun () -> Core.Snapshot.of_trace trace));
-      Test.make ~name:"enumerate.run(k=100)"
-        (Staged.stage (fun () ->
-             Core.Enumerate.run
-               ~config:{ Core.Enumerate.k = 100; max_hops = None; stop_at_total = Some 500; exhaustive = false }
-               snap ~src:0 ~dst:19 ~t_create:60.));
-      Test.make ~name:"reachability.flood"
-        (Staged.stage (fun () -> Core.Reachability.flood snap ~src:0 ~t_create:60.));
-      Test.make ~name:"engine.run(epidemic,50msg)"
-        (Staged.stage (fun () ->
-             Core.Engine.run ~trace ~messages (Core.Epidemic.factory trace)));
-      Test.make ~name:"meed.routing_costs"
-        (Staged.stage (fun () -> Core.Meed.routing_costs trace));
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 1.) ~kde:None () in
-  let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
-  List.iter
-    (fun test ->
-      List.iter
-        (fun elt ->
-          let raw = Benchmark.run cfg [ Toolkit.Instance.monotonic_clock ] elt in
-          let est = Analyze.one ols Toolkit.Instance.monotonic_clock raw in
-          let nanos = match Analyze.OLS.estimates est with Some [ v ] -> v | _ -> Float.nan in
-          Printf.printf "  %-28s %12.0f ns/run\n%!" (Test.Elt.name elt) nanos)
-        (Test.elements test))
-    tests
+(* The datasets each figure overlays; the rest show Infocom am. *)
+let figure_datasets = function
+  | "fig1" | "fig7" | "fig9" -> Dataset.all
+  | "fig4" -> [ Dataset.infocom06_am; Dataset.infocom06_pm ]
+  | "fig10" -> [ Dataset.infocom06_am; Dataset.conext06_am ]
+  | _ -> [ Dataset.infocom06_am ]
 
 let () =
   let options = parse_args () in
@@ -148,63 +77,16 @@ let () =
     "PSN path-diversity reproduction bench\nscale: %d messages, k=%d, n*=%d, %d sim seeds\n\n%!"
     scale.E.n_messages scale.E.k scale.E.n_explosion scale.E.seeds;
   let jobs = options.jobs in
-  let study_am = lazy_memo (fun () -> E.enumeration_study ~jobs ~scale Dataset.infocom06_am) in
-  let study_pm = lazy_memo (fun () -> E.enumeration_study ~jobs ~scale Dataset.infocom06_pm) in
-  let sim_am = lazy_memo (fun () -> E.sim_study ~jobs ~scale Dataset.infocom06_am) in
-  let sim_pm = lazy_memo (fun () -> E.sim_study ~jobs ~scale Dataset.infocom06_pm) in
-  let sim_cam = lazy_memo (fun () -> E.sim_study ~jobs ~scale Dataset.conext06_am) in
-  let sim_cpm = lazy_memo (fun () -> E.sim_study ~jobs ~scale Dataset.conext06_pm) in
-
-  section options "fig1" (fun () ->
-      R.render_timeseries ~title:"Fig 1: total contacts over time (60 s bins)" (E.fig1 Dataset.all));
-  section options "fig2" (fun () -> "== Fig 2: example space-time graph ==\n" ^ E.fig2 ());
-  section options "fig4" (fun () ->
-      let studies = [ study_am (); study_pm () ] in
-      R.render_cdfs ~title:"Fig 4a: CDF of optimal path duration (s)" (E.fig4a studies)
-      ^ "\n\n"
-      ^ R.render_cdfs ~title:"Fig 4b: CDF of time to explosion (s)" (E.fig4b studies));
-  section options "fig5" (fun () ->
-      R.render_scatter ~title:"Fig 5: optimal path duration vs time to explosion (Infocom am)"
-        (E.fig5 (study_am ())));
-  section options "fig6" (fun () ->
-      R.render_histogram ~title:"Fig 6: path arrivals after T1, messages with TE >= 150 s"
-        (E.fig6 (study_am ())));
-  section options "fig7" (fun () ->
-      R.render_cdfs ~title:"Fig 7: CDF of per-node contact counts" (E.fig7 Dataset.all));
-  section options "fig8" (fun () ->
-      R.render_scatter_by_pair ~title:"Fig 8: T1 vs TE by source-destination pair type"
-        (E.fig8 (study_am ())));
-  section options "fig9" (fun () ->
-      [
-        ("Infocom 06 9-12", sim_am);
-        ("Infocom 06 3-6", sim_pm);
-        ("Conext 06 9-12", sim_cam);
-        ("Conext 06 3-6", sim_cpm);
-      ]
-      |> List.map (fun (label, study) ->
-             R.render_metrics ~title:(Printf.sprintf "Fig 9: delay vs success rate (%s)" label)
-               (E.fig9 (study ())))
-      |> String.concat "\n\n");
-  section options "fig10" (fun () ->
-      R.render_cdfs ~title:"Fig 10a: delay distributions (Infocom 06 9-12)" (E.fig10 (sim_am ()))
-      ^ "\n\n"
-      ^ R.render_cdfs ~title:"Fig 10b: delay distributions (Conext 06 9-12)" (E.fig10 (sim_cam ())));
-  section options "fig11" (fun () ->
-      R.render_cumulative ~title:"Fig 11: cumulative path deliveries over time (Infocom am)"
-        (E.fig11 (study_am ())));
-  section options "fig12" (fun () ->
-      R.render_fig12 ~title:"Fig 12: paths taken by forwarding algorithms (example messages)"
-        (E.fig12 (study_am ()) ~n_examples:2));
-  section options "fig13" (fun () ->
-      R.render_metrics_by_pair
-        ~title:"Fig 13: algorithm performance by source-destination pair type (Infocom am)"
-        (E.fig13 (sim_am ())));
-  section options "fig14" (fun () ->
-      R.render_hop_rates ~title:"Fig 14: mean contact rate of nodes at each hop (Infocom am)"
-        (E.fig14 (study_am ())));
-  section options "fig15" (fun () ->
-      R.render_hop_ratios ~title:"Fig 15: consecutive-hop rate ratios (Infocom am)"
-        (E.fig15 (study_am ())));
+  (* Studies are built on first use and shared, so --only runs stay cheap. *)
+  let studies =
+    R.memo_studies
+      ~enumerate:(E.enumeration_study ~jobs ~scale)
+      ~simulate:(E.sim_study ~jobs ~scale)
+  in
+  List.iter
+    (fun (id, render) ->
+      section options id (fun () -> (render studies (figure_datasets id)).R.text))
+    R.figures;
   section options "model-mean" (fun () ->
       R.render_model_rows
         ~title:"M01: homogeneous model, mean paths per node E[S(t)] (N=200, lambda=0.5)"
@@ -261,7 +143,7 @@ let () =
       (* §5.2's subset-explosion claim, measured: the arrival staircase
          at a high-rate destination grows faster than at a low-rate
          one. *)
-      let study = study_am () in
+      let study = studies.R.study Dataset.infocom06_am in
       let fits =
         List.filter_map
           (fun (m : E.message_result) ->
@@ -436,121 +318,11 @@ let () =
       ^ "\n\
          (TE grows mildly with k: more paths must arrive; the paper's 2000 is\n\
          far past the knee, so the quadrant structure is insensitive to it)");
-  section options "parallel" (fun () ->
-      (* Sequential vs domain-parallel runner on the paper's six
-         algorithms: same seeds, same workloads, so the metrics must be
-         identical — only wall time may differ.
-
-         The comparison is honest about the hardware: the headline pits
-         jobs = 1 against jobs = cores as detected, never oversubscribed
-         beyond it (running 4 domains on 1 core measures scheduling
-         overhead, not parallelism — which is exactly the bug this bench
-         used to have). A per-jobs ladder up to the core count records
-         how the pool scales; on a single-core box the ladder collapses
-         to jobs = 1 and the "speedup" is annotated as timing noise. *)
-      let trace = Core.Dataset.(generate infocom06_am) in
-      let n_seeds = Int.max 4 scale.E.seeds in
-      let spec =
-        {
-          Core.Runner.workload = Core.Workload.paper_spec ~n_nodes:(Core.Trace.n_nodes trace);
-          seeds = Core.Runner.default_seeds n_seeds;
-        }
-      in
-      let entries = Core.Registry.paper_six in
-      let factories = List.map (fun e -> e.Core.Registry.factory) entries in
-      let run jobs = Core.Runner.run_many ~jobs ~trace ~spec ~factories () in
-      let time jobs =
-        let t0 = Core.Clock.now_s () in
-        let metrics = run jobs in
-        (Core.Clock.now_s () -. t0, metrics)
-      in
-      let cores = Core.Parallel.default_jobs () in
-      (* Powers of two up to the core count, plus the core count: the
-         requested --jobs is honoured only up to what the box has. *)
-      let ladder =
-        let rec doubling j = if j >= cores then [ cores ] else j :: doubling (2 * j) in
-        doubling 1
-      in
-      let jobs_par = Int.min (Int.max 1 options.jobs) cores in
-      ignore (run 1) (* warm-up: page in the code and size the heap *);
-      let wall_seq, metrics_seq = time 1 in
-      let scaling =
-        List.map
-          (fun jobs ->
-            let wall, metrics = time jobs in
-            (jobs, wall, wall_seq /. wall, List.for_all2 Core.Metrics.equal metrics_seq metrics))
-          ladder
-      in
-      let wall_par, speedup =
-        let _, w, s, _ = List.find (fun (j, _, _, _) -> j = cores) scaling in
-        (w, s)
-      in
-      let identical = List.for_all (fun (_, _, _, id) -> id) scaling in
-      let json =
-        Printf.sprintf
-          "{\n\
-          \  \"benchmark\": \"parallel_runner\",\n\
-          \  \"dataset\": \"infocom06_am\",\n\
-          \  \"algorithms\": [%s],\n\
-          \  \"seeds\": %d,\n\
-          \  \"cores\": %d,\n\
-          \  \"jobs\": %d,\n\
-          \  \"jobs_requested\": %d,\n\
-          \  \"wall_s_sequential\": %.3f,\n\
-          \  \"wall_s_parallel\": %.3f,\n\
-          \  \"speedup\": %.3f,\n\
-          \  \"speedup_is_noise\": %b,\n\
-          \  \"metrics_identical\": %b,\n\
-          \  \"scaling\": [\n\
-           %s\n\
-          \  ]\n\
-           }\n"
-          (String.concat ", "
-             (List.map (fun e -> Printf.sprintf "%S" e.Core.Registry.label) entries))
-          n_seeds cores cores jobs_par wall_seq wall_par speedup (cores = 1) identical
-          (String.concat ",\n"
-             (List.map
-                (fun (jobs, wall, speedup, id) ->
-                  Printf.sprintf
-                    "    { \"jobs\": %d, \"wall_s\": %.3f, \"speedup\": %.3f, \
-                     \"metrics_identical\": %b }"
-                    jobs wall speedup id)
-                scaling))
-      in
-      let oc = open_out "BENCH_parallel.json" in
-      output_string oc json;
-      close_out oc;
-      let table =
-        String.concat "\n"
-          (List.map
-             (fun (jobs, wall, speedup, id) ->
-               Printf.sprintf "  jobs=%-3d %8.3f s   %5.2fx   identical: %b" jobs wall speedup
-                 id)
-             scaling)
-      in
-      Printf.sprintf
-        "== Parallel runner: %d algorithms x %d seeds (Infocom am) ==\n\
-         sequential (jobs=1):     %.3f s\n\
-         parallel   (jobs=cores=%d): %.3f s\n\
-         %s    metrics identical (all jobs): %b\n\
-         scaling:\n\
-         %s\n\
-         (written to BENCH_parallel.json)"
-        (List.length entries) n_seeds wall_seq cores wall_par
-        (if cores = 1 then
-           Printf.sprintf
-             "speedup: %.2fx — single-core box, jobs=cores=1: this is run-to-run noise, not \
-              parallelism."
-             speedup
-         else Printf.sprintf "speedup: %.2fx" speedup)
-        identical table);
   section options "serve" (fun () ->
-      (* Online serving: ingest throughput into the sliding window,
-         per-query latency against the live window, the hard memory
-         cap, and whether the adaptive router earns its keep under
-         injected faults. Everything runs through Serve.handle — the
-         same line protocol the CLI speaks — so the numbers include
-         parsing and reply formatting. *)
+      (* Online serving: the hard memory cap, and whether the adaptive
+         router earns its keep under injected faults. Everything runs
+         through Serve.handle — the same line protocol the CLI speaks.
+         perfbench's serve_replay times this layer. *)
       let trace = Core.Dataset.(generate infocom06_am) in
       let n_nodes = Core.Trace.n_nodes trace in
       let contacts = Array.to_list (Core.Trace.contacts trace) in
@@ -579,58 +351,7 @@ let () =
       let feed s line =
         match Core.Serve.handle s line with `Reply _ | `Stop _ -> ()
       in
-      (* -- ingest throughput -- *)
-      let ingest_server = server () in
       let lines = List.map contact_line contacts in
-      let t0 = Core.Clock.now_s () in
-      List.iter (feed ingest_server) lines;
-      let wall_ingest = Core.Clock.now_s () -. t0 in
-      let events_per_s = float_of_int n_events /. Float.max wall_ingest 1e-9 in
-      (* -- query latency on the live window -- *)
-      feed ingest_server (Printf.sprintf "advance %h" (Core.Trace.horizon trace));
-      (* Latencies go through the telemetry histogram (log-bucketed,
-         ~12.5% bucket width) instead of an exact sort: same digest the
-         serve metrics endpoint reports, and the bucket counts land in
-         the JSON so regressions show as shape changes, not just two
-         moving percentiles. *)
-      let time_queries mk =
-        let h = Core.Hist.create () in
-        for i = 0 to 29 do
-          let src = i * 5 mod n_nodes in
-          let dst = (src + 13) mod n_nodes in
-          let line = mk src dst in
-          let q0 = Core.Clock.now_s () in
-          feed ingest_server line;
-          Core.Hist.add h ((Core.Clock.now_s () -. q0) *. 1000.)
-        done;
-        h
-      in
-      let hist_json h =
-        let d = Core.Hist.digest h in
-        let buckets =
-          Core.Hist.buckets h
-          |> List.map (fun (le, c) ->
-                 Printf.sprintf "{ \"le\": \"%s\", \"count\": %d }"
-                   (if Float.is_finite le then Printf.sprintf "%g" le else "+Inf")
-                   c)
-          |> String.concat ", "
-        in
-        Printf.sprintf
-          "{ \"p50\": %.3f, \"p99\": %.3f, \"p999\": %.3f, \"max\": %.3f, \"count\": %d, \
-           \"buckets\": [ %s ] }"
-          d.Core.Hist.d_p50 d.Core.Hist.d_p99 d.Core.Hist.d_p999 d.Core.Hist.d_max
-          d.Core.Hist.d_count buckets
-      in
-      let delivery_h = time_queries (fun src dst -> Printf.sprintf "delivery %d %d" src dst) in
-      let paths_h = time_queries (fun src dst -> Printf.sprintf "paths %d %d" src dst) in
-      let delivery_p50, delivery_p99 =
-        let d = Core.Hist.digest delivery_h in
-        (d.Core.Hist.d_p50, d.Core.Hist.d_p99)
-      in
-      let paths_p50, paths_p99 =
-        let d = Core.Hist.digest paths_h in
-        (d.Core.Hist.d_p50, d.Core.Hist.d_p99)
-      in
       (* -- memory cap under backpressure -- *)
       let cap_budget = 500 in
       let cap_check policy =
@@ -686,10 +407,6 @@ let () =
           \  \"benchmark\": \"serve\",\n\
           \  \"dataset\": \"infocom06_am\",\n\
           \  \"events\": %d,\n\
-          \  \"window_span_s\": 1800,\n\
-          \  \"ingest_events_per_s\": %.0f,\n\
-          \  \"delivery_query_ms\": %s,\n\
-          \  \"paths_query_ms\": %s,\n\
           \  \"budget\": %d,\n\
           \  \"peak_drop\": %d,\n\
           \  \"peak_slide\": %d,\n\
@@ -699,8 +416,7 @@ let () =
           \  \"delivery_ratio_static\": { %s },\n\
           \  \"adaptive_vs_best_static\": %.3f\n\
            }\n"
-          n_events events_per_s (hist_json delivery_h) (hist_json paths_h) cap_budget
-          drop_peak slide_peak (drop_ok && slide_ok) adaptive
+          n_events cap_budget drop_peak slide_peak (drop_ok && slide_ok) adaptive
           (String.concat ", "
              (List.map (fun (name, r) -> Printf.sprintf "%S: %.3f" name r) static))
           (adaptive -. best_static)
@@ -710,80 +426,12 @@ let () =
       close_out oc;
       Printf.sprintf
         "== Serve: online window over Infocom am (%d events) ==\n\
-         ingest:  %.0f events/s (window 1800 s, budget unconstrained)\n\
-         queries: delivery p50 %.2f ms, p99 %.2f ms; paths p50 %.2f ms, p99 %.2f ms\n\
          memory:  budget %d -> peak %d (drop) / %d (slide); cap enforced: %b\n\
          faults (loss 0.35, jitter 0.2): adaptive %.3f vs static %s (best-static delta %+.3f)\n\
          (written to BENCH_serve.json)"
-        n_events events_per_s delivery_p50 delivery_p99 paths_p50 paths_p99 cap_budget
-        drop_peak slide_peak (drop_ok && slide_ok) adaptive
+        n_events cap_budget drop_peak slide_peak (drop_ok && slide_ok) adaptive
         (String.concat ", " (List.map (fun (name, r) -> Printf.sprintf "%s %.3f" name r) static))
         (adaptive -. best_static));
-  section options "store" (fun () ->
-      (* The algorithm-comparison sweep, cold (store just emptied, every
-         outcome simulated and written) vs warm (every outcome replayed
-         from disk). Warm must be bit-identical — a store hit is the
-         canonical encoding of exactly the run it replaces — and much
-         faster, since it never constructs an algorithm or steps the
-         engine. Results land in BENCH_store.json. *)
-      let trace = Core.Dataset.(generate infocom06_am) in
-      let n_seeds = Int.max 4 scale.E.seeds in
-      let workload = Core.Workload.paper_spec ~n_nodes:(Core.Trace.n_nodes trace) in
-      let spec = { Core.Runner.workload; seeds = Core.Runner.default_seeds n_seeds } in
-      let entries = Core.Registry.paper_six in
-      let factories = List.map (fun e -> e.Core.Registry.factory) entries in
-      let st = Core.Store.open_ ~dir:options.store_dir () in
-      ignore (Core.Store.gc st ~max_bytes:0);
-      let caches = E.entry_caches st ~trace ~workload entries in
-      let time jobs =
-        let t0 = Core.Clock.now_s () in
-        let metrics = Core.Runner.run_many ~jobs ~stores:caches ~trace ~spec ~factories () in
-        (Core.Clock.now_s () -. t0, metrics)
-      in
-      let wall_cold, metrics_cold = time options.jobs in
-      let wall_warm, metrics_warm = time options.jobs in
-      (* A warm replay must also be independent of --jobs. *)
-      let _, metrics_warm_seq = time 1 in
-      let identical =
-        List.for_all2 Core.Metrics.equal metrics_cold metrics_warm
-        && List.for_all2 Core.Metrics.equal metrics_cold metrics_warm_seq
-      in
-      let speedup = wall_cold /. wall_warm in
-      let s = Core.Store.stats st in
-      let json =
-        Printf.sprintf
-          "{\n\
-          \  \"benchmark\": \"result_store\",\n\
-          \  \"dataset\": \"infocom06_am\",\n\
-          \  \"algorithms\": [%s],\n\
-          \  \"seeds\": %d,\n\
-          \  \"jobs\": %d,\n\
-          \  \"wall_s_cold\": %.3f,\n\
-          \  \"wall_s_warm\": %.3f,\n\
-          \  \"speedup\": %.3f,\n\
-          \  \"metrics_identical\": %b,\n\
-          \  \"entries\": %d,\n\
-          \  \"bytes\": %d,\n\
-          \  \"hits\": %Ld,\n\
-          \  \"misses\": %Ld\n\
-           }\n"
-          (String.concat ", "
-             (List.map (fun e -> Printf.sprintf "%S" e.Core.Registry.label) entries))
-          n_seeds options.jobs wall_cold wall_warm speedup identical s.Core.Store.entries
-          s.Core.Store.bytes s.Core.Store.hits s.Core.Store.misses
-      in
-      let oc = open_out "BENCH_store.json" in
-      output_string oc json;
-      close_out oc;
-      Printf.sprintf
-        "== Result store: %d algorithms x %d seeds, cold vs warm (Infocom am) ==\n\
-         cold (compute + store): %.3f s\n\
-         warm (replay from %s): %.3f s\n\
-         speedup: %.2fx    metrics bit-identical (incl. across --jobs): %b\n\
-         store: %d entries, %d bytes\n\
-         (written to BENCH_store.json)"
-        (List.length entries) n_seeds wall_cold options.store_dir wall_warm speedup identical
-        s.Core.Store.entries s.Core.Store.bytes);
   section options "resilience" (fun () ->
       (* The robustness claim, quantified: sweep fault intensity over
          the six algorithms and record delivery, attempts-vs-copies
@@ -886,85 +534,4 @@ let () =
         ~title:"Resilience: the six algorithms under injected faults (Infocom am)" study
       ^ Printf.sprintf
           "\nfaulted run bit-identical across --jobs: %b\n(written to BENCH_resilience.json)"
-          deterministic);
-  section options "robust" (fun () ->
-      (* Robustness must be free when off: price the disabled failpoint
-         trigger (no plan installed), a sweep under a plan naming only
-         an unrelated site (the trigger now scans the plan per hit),
-         and checkpoint rounds vs one big batch (extra manifest writes
-         per round). All variants must stay bit-identical. Results land
-         in BENCH_robust.json. *)
-      let trace = Core.Dataset.(generate infocom06_am) in
-      let n_seeds = Int.max 4 scale.E.seeds in
-      let workload = Core.Workload.paper_spec ~n_nodes:(Core.Trace.n_nodes trace) in
-      let spec = { Core.Runner.workload; seeds = Core.Runner.default_seeds n_seeds } in
-      let entries = Core.Registry.paper_six in
-      let factories = List.map (fun e -> e.Core.Registry.factory) entries in
-      Core.Failpoint.uninstall ();
-      let reps = 10_000_000 in
-      let t0 = Core.Clock.now_s () in
-      for _ = 1 to reps do
-        Core.Failpoint.trigger "bench.disabled"
-      done;
-      let disabled_ns = (Core.Clock.now_s () -. t0) /. float_of_int reps *. 1e9 in
-      let time_sweep () =
-        let t0 = Core.Clock.now_s () in
-        let m = Core.Runner.run_many ~jobs:options.jobs ~trace ~spec ~factories () in
-        (Core.Clock.now_s () -. t0, m)
-      in
-      let wall_off, m_off = time_sweep () in
-      let wall_plan, m_plan =
-        match Core.Failpoint.parse "bench.unrelated=error" with
-        | Error e -> invalid_arg e
-        | Ok plan ->
-          Core.Failpoint.install plan;
-          Fun.protect ~finally:Core.Failpoint.uninstall time_sweep
-      in
-      let st = Core.Store.open_ ~dir:options.store_dir () in
-      let caches = E.entry_caches st ~trace ~workload entries in
-      let time_ckpt checkpoint =
-        ignore (Core.Store.gc st ~max_bytes:0);
-        let t0 = Core.Clock.now_s () in
-        let m =
-          Core.Runner.run_many ~jobs:options.jobs ~stores:caches ~checkpoint ~trace ~spec
-            ~factories ()
-        in
-        (Core.Clock.now_s () -. t0, m)
-      in
-      let wall_c0, m_c0 = time_ckpt 0 in
-      let wall_c1, m_c1 = time_ckpt 1 in
-      let wall_c8, m_c8 = time_ckpt 8 in
-      let identical =
-        List.for_all2 Core.Metrics.equal m_off m_plan
-        && List.for_all2 Core.Metrics.equal m_off m_c0
-        && List.for_all2 Core.Metrics.equal m_off m_c1
-        && List.for_all2 Core.Metrics.equal m_off m_c8
-      in
-      let json =
-        Printf.sprintf
-          "{\n\
-          \  \"benchmark\": \"robust\",\n\
-          \  \"dataset\": \"infocom06_am\",\n\
-          \  \"seeds\": %d,\n\
-          \  \"jobs\": %d,\n\
-          \  \"disabled_trigger_ns\": %.2f,\n\
-          \  \"sweep_wall_s_no_plan\": %.3f,\n\
-          \  \"sweep_wall_s_unrelated_plan\": %.3f,\n\
-          \  \"checkpoint_wall_s\": { \"off\": %.3f, \"every_task\": %.3f, \"every_8\": %.3f },\n\
-          \  \"metrics_identical\": %b\n\
-           }\n"
-          n_seeds options.jobs disabled_ns wall_off wall_plan wall_c0 wall_c1 wall_c8 identical
-      in
-      let oc = open_out "BENCH_robust.json" in
-      output_string oc json;
-      close_out oc;
-      Printf.sprintf
-        "== Robustness overhead: failpoints and checkpoint rounds (Infocom am) ==\n\
-         disabled trigger (no plan installed): %.2f ns/site\n\
-         sweep %d algorithms x %d seeds: no plan %.3f s, unrelated plan installed %.3f s\n\
-         checkpointed sweep: off %.3f s, --checkpoint 1 %.3f s, --checkpoint 8 %.3f s\n\
-         all variants bit-identical: %b\n\
-         (written to BENCH_robust.json)"
-        disabled_ns (List.length entries) n_seeds wall_off wall_plan wall_c0 wall_c1 wall_c8
-        identical);
-  if options.micro && wanted options "micro" then micro_benchmarks ()
+          deterministic)

@@ -69,7 +69,7 @@ let resolve_trace dataset_name seed trace_path =
              native_err ws_err)))
   | None -> (
     match Core.Dataset.find dataset_name with
-    | Error msg -> exit_err msg
+    | Error msg -> exit_usage msg
     | Ok d -> (d.Core.Dataset.label, Core.Dataset.generate ?seed d))
 
 let k_arg =
@@ -324,7 +324,7 @@ let generate_cmd =
   in
   let run dataset seed output =
     match Core.Dataset.find dataset with
-    | Error msg -> exit_err msg
+    | Error msg -> exit_usage msg
     | Ok d ->
       let trace = Core.Dataset.generate ?seed d in
       or_die (fun () -> Core.Trace_io.save trace ~path:output);
@@ -369,7 +369,17 @@ let paths_cmd =
     Arg.(value & opt int 10 & info [ "limit" ] ~docv:"N" ~doc:"Paths to print in full.")
   in
   let run dataset seed trace_path k src dst time limit =
+    if k < 1 then exit_usage "-k must be at least 1";
     let label, trace = resolve_trace dataset seed trace_path in
+    let n = Core.Trace.n_nodes trace in
+    List.iter
+      (fun (flag, node) ->
+        if node < 0 || node >= n then
+          exit_usage
+            (Printf.sprintf "%s %d is outside the trace's population (nodes 0 to %d)" flag node
+               (n - 1)))
+      [ ("--src", src); ("--dst", dst) ];
+    if src = dst then exit_usage "--src and --dst must differ";
     let snap = Core.Snapshot.of_trace trace in
     let config =
       { Core.Enumerate.k; max_hops = None; stop_at_total = Some k; exhaustive = false }
@@ -907,8 +917,7 @@ let serve_cmd =
 let experiment_cmd =
   let figure =
     let doc =
-      "Experiment id: fig1, fig2, fig4, fig5, fig6, fig7, fig8, fig9, fig10, fig11, fig12, \
-       fig13, fig14, fig15."
+      "Experiment id: " ^ String.concat ", " (List.map fst Core.Report.figures) ^ "."
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc)
   in
@@ -924,103 +933,48 @@ let experiment_cmd =
       & info [ "dump" ] ~docv:"DIR"
           ~doc:"Also write the figure's data series as gnuplot-ready .dat files into $(docv).")
   in
+  let write_series dir = function
+    | Core.Report.Cdfs (name, cdfs) ->
+      let files = Core.Export.write_cdfs ~dir ~name cdfs in
+      ignore (Core.Export.write_gnuplot_script ~dir [ (name, `Lines, files) ]);
+      Format.printf "(wrote %d data files under %s)@." (List.length files) dir
+    | Core.Report.Scatter (name, points) ->
+      let file = Core.Export.write_scatter ~dir ~name points in
+      ignore (Core.Export.write_gnuplot_script ~dir [ (name, `Points, [ file ]) ]);
+      Format.printf "(wrote %s)@." file
+  in
   let run figure dataset seed messages dump_dir exec =
     if messages < 1 then exit_usage "--messages must be at least 1";
     match Core.Dataset.find dataset with
     | Error msg -> exit_usage msg
     | Ok d ->
-      let module E = Core.Experiments in
-      let module R = Core.Report in
-      let dump_cdfs name cdfs =
-        match dump_dir with
-        | None -> ()
-        | Some dir ->
-          let files = Core.Export.write_cdfs ~dir ~name cdfs in
-          ignore (Core.Export.write_gnuplot_script ~dir [ (name, `Lines, files) ]);
-          Format.printf "(wrote %d data files under %s)@." (List.length files) dir
-      in
-      let dump_scatter name points =
-        match dump_dir with
-        | None -> ()
-        | Some dir ->
-          let file = Core.Export.write_scatter ~dir ~name points in
-          ignore (Core.Export.write_gnuplot_script ~dir [ (name, `Points, [ file ]) ]);
-          Format.printf "(wrote %s)@." file
+      (* The figure is chosen (and an unknown id rejected) before the
+         sweep opens anything. *)
+      let render =
+        match List.assoc_opt figure Core.Report.figures with
+        | Some render -> render
+        | None -> exit_usage (Printf.sprintf "unknown experiment %S" figure)
       in
       let scale =
         {
-          E.default_scale with
-          E.n_messages = messages;
+          Core.Experiments.default_scale with
+          Core.Experiments.n_messages = messages;
           rng_seed = Option.value seed ~default:17L;
         }
       in
-      (* The figure is chosen (and an unknown id rejected) before the
-         sweep opens anything; it renders from the lazily computed
-         enumeration and simulation studies. *)
-      let render =
-        match figure with
-        | "fig1" -> fun _ _ -> R.render_timeseries ~title:"Fig 1: contacts over time" (E.fig1 [ d ])
-        | "fig2" -> fun _ _ -> "== Fig 2: example space-time graph ==\n" ^ E.fig2 ()
-        | "fig4" ->
-          fun study _ ->
-            let a = E.fig4a [ Lazy.force study ] and b = E.fig4b [ Lazy.force study ] in
-            dump_cdfs "fig4a" a;
-            dump_cdfs "fig4b" b;
-            R.render_cdfs ~title:"Fig 4a: optimal path duration" a
-            ^ "\n"
-            ^ R.render_cdfs ~title:"Fig 4b: time to explosion" b
-        | "fig5" ->
-          fun study _ ->
-            let points = E.fig5 (Lazy.force study) in
-            dump_scatter "fig5" points;
-            R.render_scatter ~title:"Fig 5: T1 vs TE" points
-        | "fig6" ->
-          fun study _ -> R.render_histogram ~title:"Fig 6: arrivals after T1" (E.fig6 (Lazy.force study))
-        | "fig7" ->
-          fun _ _ ->
-            let cdfs = E.fig7 [ d ] in
-            dump_cdfs "fig7" cdfs;
-            R.render_cdfs ~title:"Fig 7: per-node contact counts" cdfs
-        | "fig8" ->
-          fun study _ ->
-            R.render_scatter_by_pair ~title:"Fig 8: T1 vs TE by pair type" (E.fig8 (Lazy.force study))
-        | "fig9" ->
-          fun _ sim ->
-            let sim = Lazy.force sim in
-            R.render_metrics ~title:"Fig 9: delay vs success" (E.fig9 sim)
-            ^ R.render_failed_cells ~title:"Failed simulation cells" sim.E.sim_failed
-        | "fig10" ->
-          fun _ sim ->
-            let cdfs = E.fig10 (Lazy.force sim) in
-            dump_cdfs "fig10" cdfs;
-            R.render_cdfs ~title:"Fig 10: delay distributions" cdfs
-        | "fig11" ->
-          fun study _ ->
-            R.render_cumulative ~title:"Fig 11: cumulative deliveries" (E.fig11 (Lazy.force study))
-        | "fig12" ->
-          fun study _ ->
-            R.render_fig12 ~title:"Fig 12: algorithm paths within bursts"
-              (E.fig12 (Lazy.force study) ~n_examples:2)
-        | "fig13" ->
-          fun _ sim ->
-            let sim = Lazy.force sim in
-            R.render_metrics_by_pair ~title:"Fig 13: performance by pair type" (E.fig13 sim)
-            ^ R.render_failed_cells ~title:"Failed simulation cells" sim.E.sim_failed
-        | "fig14" ->
-          fun study _ -> R.render_hop_rates ~title:"Fig 14: hop rates" (E.fig14 (Lazy.force study))
-        | "fig15" ->
-          fun study _ ->
-            R.render_hop_ratios ~title:"Fig 15: hop rate ratios" (E.fig15 (Lazy.force study))
-        | other -> exit_usage (Printf.sprintf "unknown experiment %S" other)
-      in
       with_sweep ~command:"experiment" exec (fun ex ~store ~sink ->
-          render
-            (lazy
-              (E.enumeration_study ~jobs:ex.jobs ?chunk:ex.chunk ?store ~retries:ex.retries
-                 ~checkpoint:ex.checkpoint ~scale ~telemetry:sink d))
-            (lazy
-              (E.sim_study ~jobs:ex.jobs ?chunk:ex.chunk ?store ~retries:ex.retries
-                 ~checkpoint:ex.checkpoint ~scale ~telemetry:sink d)))
+          let studies =
+            Core.Report.memo_studies
+              ~enumerate:
+                (Core.Experiments.enumeration_study ~jobs:ex.jobs ?chunk:ex.chunk ?store
+                   ~retries:ex.retries ~checkpoint:ex.checkpoint ~scale ~telemetry:sink)
+              ~simulate:
+                (Core.Experiments.sim_study ~jobs:ex.jobs ?chunk:ex.chunk ?store
+                   ~retries:ex.retries ~checkpoint:ex.checkpoint ~scale ~telemetry:sink)
+          in
+          let fig = render studies [ d ] in
+          Option.iter (fun dir -> List.iter (write_series dir) fig.Core.Report.series) dump_dir;
+          fig.Core.Report.text)
   in
   let term =
     Term.(const run $ figure $ dataset_arg $ seed_arg $ messages $ dump $ exec_term)
@@ -1290,6 +1244,10 @@ let model_cmd =
   in
   let runs = Arg.(value & opt int 60 & info [ "runs" ] ~docv:"N" ~doc:"Monte-Carlo runs.") in
   let run which n lambda runs =
+    if n < 2 then exit_usage "-n must be at least 2";
+    if not (Float.is_finite lambda && lambda > 0.) then
+      exit_usage "--lambda must be a positive finite rate";
+    if runs < 1 then exit_usage "--runs must be at least 1";
     let module E = Core.Experiments in
     let module R = Core.Report in
     let times = [ 0.; 2.; 4.; 6.; 8. ] in

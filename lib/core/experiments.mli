@@ -165,18 +165,6 @@ val sim_study :
     [scale.seeds] seeds, wrapped in an [experiments.sim_study] span
     (trace generation is its [experiments.setup] child). *)
 
-val entry_caches :
-  Psn_store.Store.t ->
-  trace:Psn_trace.Trace.t ->
-  ?faults:Psn_sim.Faults.spec ->
-  workload:Psn_sim.Workload.spec ->
-  Psn_forwarding.Registry.entry list ->
-  Psn_sim.Cache.t list
-(** One store-backed outcome cache per entry, in order, keyed on the
-    trace's content hash, the workload, the optional fault spec and
-    each entry's registry name — the [stores] argument
-    {!Psn_sim.Runner} takes for an algorithm grid. *)
-
 val fig9 : sim_study -> (string * Psn_sim.Metrics.t) list
 (** Average delay and success rate per algorithm — one Fig. 9 panel.
     Algorithms whose every seed failed are omitted (see

@@ -350,3 +350,129 @@ let render_quadrants ~title stats =
        ~align:[ Table.Left; Right; Right; Right; Left; Left ]
        ~header:[ "pair"; "T1 (s)"; "TE (s)"; "delivered"; "predicted T1"; "predicted TE" ]
        rows)
+
+(* ---- the figure table ------------------------------------------------- *)
+
+type studies = {
+  study : Psn_trace.Dataset.t -> Experiments.study;
+  sim : Psn_trace.Dataset.t -> Experiments.sim_study;
+}
+
+(* At most one build per dataset name, in the caller's domain. *)
+let memo_by_dataset build =
+  let built = ref [] in
+  fun (d : Psn_trace.Dataset.t) ->
+    match List.assoc_opt d.Psn_trace.Dataset.name !built with
+    | Some v -> v
+    | None ->
+      let v = build d in
+      built := (d.Psn_trace.Dataset.name, v) :: !built;
+      v
+
+let memo_studies ~enumerate ~simulate =
+  { study = memo_by_dataset enumerate; sim = memo_by_dataset simulate }
+
+type series = Cdfs of string * (string * Cdf.t) list | Scatter of string * (float * float) list
+
+type figure = { text : string; series : series list }
+type render = studies -> Psn_trace.Dataset.t list -> figure
+
+let text_only text = { text; series = [] }
+
+(* One panel per dataset, titled with the dataset's label, panels
+   separated by a blank line. *)
+let per_dataset title datasets panel =
+  let panels =
+    List.map
+      (fun (d : Psn_trace.Dataset.t) ->
+        panel d ~title:(Printf.sprintf "%s (%s)" title d.Psn_trace.Dataset.label))
+      datasets
+  in
+  {
+    text = String.concat "\n\n" (List.map (fun f -> f.text) panels);
+    series = List.concat_map (fun f -> f.series) panels;
+  }
+
+let with_failed (sim : Experiments.sim_study) text =
+  text ^ render_failed_cells ~title:"Failed simulation cells" sim.Experiments.sim_failed
+
+let figures : (string * render) list =
+  [
+    ( "fig1",
+      fun _ datasets ->
+        text_only
+          (render_timeseries ~title:"Fig 1: total contacts over time (60 s bins)"
+             (Experiments.fig1 datasets)) );
+    ("fig2", fun _ _ -> text_only (heading "Fig 2: example space-time graph" (Experiments.fig2 ())));
+    ( "fig4",
+      fun s datasets ->
+        let studies = List.map s.study datasets in
+        let a = Experiments.fig4a studies and b = Experiments.fig4b studies in
+        {
+          text =
+            render_cdfs ~title:"Fig 4a: CDF of optimal path duration (s)" a
+            ^ "\n\n"
+            ^ render_cdfs ~title:"Fig 4b: CDF of time to explosion (s)" b;
+          series = [ Cdfs ("fig4a", a); Cdfs ("fig4b", b) ];
+        } );
+    ( "fig5",
+      fun s datasets ->
+        per_dataset "Fig 5: optimal path duration vs time to explosion" datasets (fun d ~title ->
+            let points = Experiments.fig5 (s.study d) in
+            {
+              text = render_scatter ~title points;
+              series = [ Scatter ("fig5", points) ];
+            }) );
+    ( "fig6",
+      fun s datasets ->
+        per_dataset "Fig 6: path arrivals after T1, messages with TE >= 150 s" datasets
+          (fun d ~title -> text_only (render_histogram ~title (Experiments.fig6 (s.study d)))) );
+    ( "fig7",
+      fun _ datasets ->
+        let cdfs = Experiments.fig7 datasets in
+        {
+          text = render_cdfs ~title:"Fig 7: CDF of per-node contact counts" cdfs;
+          series = [ Cdfs ("fig7", cdfs) ];
+        } );
+    ( "fig8",
+      fun s datasets ->
+        per_dataset "Fig 8: T1 vs TE by source-destination pair type" datasets (fun d ~title ->
+            text_only (render_scatter_by_pair ~title (Experiments.fig8 (s.study d)))) );
+    ( "fig9",
+      fun s datasets ->
+        per_dataset "Fig 9: delay vs success rate" datasets (fun d ~title ->
+            let sim = s.sim d in
+            text_only (with_failed sim (render_metrics ~title (Experiments.fig9 sim)))) );
+    ( "fig10",
+      fun s datasets ->
+        per_dataset "Fig 10: delay distributions" datasets (fun d ~title ->
+            let sim = s.sim d in
+            let cdfs = Experiments.fig10 sim in
+            {
+              text = with_failed sim (render_cdfs ~title cdfs);
+              series = [ Cdfs ("fig10", cdfs) ];
+            }) );
+    ( "fig11",
+      fun s datasets ->
+        per_dataset "Fig 11: cumulative path deliveries over time" datasets (fun d ~title ->
+            text_only (render_cumulative ~title (Experiments.fig11 (s.study d)))) );
+    ( "fig12",
+      fun s datasets ->
+        per_dataset "Fig 12: paths taken by forwarding algorithms, example messages" datasets
+          (fun d ~title ->
+            text_only (render_fig12 ~title (Experiments.fig12 (s.study d) ~n_examples:2))) );
+    ( "fig13",
+      fun s datasets ->
+        per_dataset "Fig 13: algorithm performance by source-destination pair type" datasets
+          (fun d ~title ->
+            let sim = s.sim d in
+            text_only (with_failed sim (render_metrics_by_pair ~title (Experiments.fig13 sim)))) );
+    ( "fig14",
+      fun s datasets ->
+        per_dataset "Fig 14: mean contact rate of nodes at each hop" datasets (fun d ~title ->
+            text_only (render_hop_rates ~title (Experiments.fig14 (s.study d)))) );
+    ( "fig15",
+      fun s datasets ->
+        per_dataset "Fig 15: consecutive-hop rate ratios" datasets (fun d ~title ->
+            text_only (render_hop_ratios ~title (Experiments.fig15 (s.study d)))) );
+  ]

@@ -1,8 +1,9 @@
 (** Plain-text rendering of experiment outputs.
 
     One [render_*] per figure; all return a complete multi-line string
-    (title, configuration note, data table) that the bench harness and
-    the CLI print verbatim. *)
+    (title, configuration note, data table). {!figures} is the one table
+    of the paper's evaluation figures that [psn experiment] and the
+    bench harness both render from. *)
 
 val render_timeseries : title:string -> (string * Psn_stats.Timeseries.t) list -> string
 (** Fig. 1-style series: per dataset, summary of the binned counts plus
@@ -60,3 +61,40 @@ val render_model_rows : title:string -> Experiments.model_row list -> string
 val render_quadrants : title:string -> Psn_model.Inhomogeneous.quadrant_stats list -> string
 (** M03: the §5.2 quadrant table with the paper's qualitative
     predictions alongside. *)
+
+(** {1 The figure table} *)
+
+type studies = {
+  study : Psn_trace.Dataset.t -> Experiments.study;
+  sim : Psn_trace.Dataset.t -> Experiments.sim_study;
+}
+(** Where figures get their enumeration and simulation studies. *)
+
+val memo_studies :
+  enumerate:(Psn_trace.Dataset.t -> Experiments.study) ->
+  simulate:(Psn_trace.Dataset.t -> Experiments.sim_study) ->
+  studies
+(** Studies built on first use and at most once per dataset name, so
+    figures rendered from the same value share them. Not safe to share
+    across domains. *)
+
+type series =
+  | Cdfs of string * (string * Psn_stats.Cdf.t) list
+      (** A named set of labelled CDFs ({!Export.write_cdfs}). *)
+  | Scatter of string * (float * float) list
+      (** A named point set ({!Export.write_scatter}). *)
+
+type figure = {
+  text : string;  (** The rendered report, titled [== ... ==]. *)
+  series : series list;  (** The plot-ready data behind it, in print order. *)
+}
+
+type render = studies -> Psn_trace.Dataset.t list -> figure
+(** Renders one figure over a dataset list. Figs. 1, 4 and 7 pool the
+    datasets in one table; Fig. 2 ignores them; the others render one
+    panel per dataset, titled with its label. Series are named after
+    the figure ([fig4a] and [fig4b] for Fig. 4). Figures over a
+    simulation study also list its failed cells. *)
+
+val figures : (string * render) list
+(** The table, in order: [fig1], [fig2], [fig4] ... [fig15]. *)

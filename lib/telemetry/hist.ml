@@ -173,29 +173,19 @@ let digest h =
     d_p999 = quantile h 0.999;
   }
 
-(* Sparse non-empty buckets in ascending boundary order. The zero
-   bucket reports boundary 0., the overflow bucket +inf. *)
-let buckets h =
-  let acc = ref [] in
-  if h.overflow > 0 then acc := (Float.infinity, h.overflow) :: !acc;
-  for i = n_buckets - 1 downto 0 do
-    if h.counts.(i) > 0 then acc := (bucket_upper i, h.counts.(i)) :: !acc
-  done;
-  if h.zero > 0 then acc := (0., h.zero) :: !acc;
-  !acc
-
-(* Cumulative (le, count) pairs over the non-empty buckets, ending with
-   the (+inf, total) bucket OpenMetrics requires. *)
+(* Cumulative (le, count) pairs over the non-empty buckets in ascending
+   boundary order (the zero bucket at boundary 0.), ending with the
+   (+inf, total) bucket OpenMetrics requires. *)
 let cumulative h =
-  let cum = ref 0 in
-  let steps =
-    List.filter_map
-      (fun (upper, n) ->
-        cum := !cum + n;
-        if Float.is_finite upper then Some (upper, !cum) else None)
-      (buckets h)
-  in
-  steps @ [ (Float.infinity, h.total) ]
+  let steps = ref (if h.zero > 0 then [ (0., h.zero) ] else []) in
+  let cum = ref h.zero in
+  for i = 0 to n_buckets - 1 do
+    if h.counts.(i) > 0 then begin
+      cum := !cum + h.counts.(i);
+      steps := (bucket_upper i, !cum) :: !steps
+    end
+  done;
+  List.rev_append !steps [ (Float.infinity, h.total) ]
 
 (* ---- codec ------------------------------------------------------------ *)
 

@@ -334,6 +334,62 @@ let test_report_quadrants_render () =
     (fun name -> Alcotest.(check bool) name true (contains text name))
     [ "in-in"; "in-out"; "out-in"; "out-out"; "predicted" ]
 
+(* --- The figure table --- *)
+
+(* The figure ids a help text names, in order of appearance. *)
+let figure_ids_in text =
+  let n = String.length text in
+  let rec scan i acc =
+    if i + 3 >= n then List.rev acc
+    else if String.sub text i 3 = "fig" && text.[i + 3] >= '0' && text.[i + 3] <= '9' then begin
+      let j = ref (i + 3) in
+      while !j < n && text.[!j] >= '0' && text.[!j] <= '9' do
+        incr j
+      done;
+      scan !j (String.sub text i (!j - i) :: acc)
+    end
+    else scan (i + 1) acc
+  in
+  scan 0 []
+
+(* Every id renders at a tiny scale to a report under its own
+   "== Fig N... ==" title, an unknown id is rejected, and
+   `psn experiment --help` lists exactly the table's ids. *)
+let test_figure_table () =
+  let scale = { tiny_scale with E.n_messages = 4 } in
+  let studies =
+    R.memo_studies ~enumerate:(E.enumeration_study ~scale) ~simulate:(E.sim_study ~scale)
+  in
+  List.iter
+    (fun (id, render) ->
+      let fig = render studies [ Core.Dataset.conext06_am ] in
+      let title, body =
+        match String.index_opt fig.R.text '\n' with
+        | Some i ->
+          (String.sub fig.R.text 0 i, String.sub fig.R.text (i + 1) (String.length fig.R.text - i - 1))
+        | None -> (fig.R.text, "")
+      in
+      let prefix = "== Fig " ^ String.sub id 3 (String.length id - 3) in
+      let titled =
+        String.starts_with ~prefix title
+        && String.ends_with ~suffix:" ==" title
+        && match title.[String.length prefix] with '0' .. '9' -> false | _ -> true
+      in
+      Alcotest.(check bool) (Printf.sprintf "%s title %S" id title) true titled;
+      Alcotest.(check bool) (id ^ " has a body") true (String.trim body <> ""))
+    R.figures;
+  let psn args =
+    let ic = Unix.open_process_args_in "../bin/psn_cli.exe" (Array.of_list ("psn" :: args)) in
+    let out = In_channel.input_all ic in
+    (out, Unix.close_process_in ic)
+  in
+  Alcotest.(check bool) "unknown id is a usage error" true
+    (snd (psn [ "experiment"; "fig3" ]) = Unix.WEXITED 2);
+  let help, status = psn [ "experiment"; "--help=plain" ] in
+  Alcotest.(check bool) "help exits 0" true (status = Unix.WEXITED 0);
+  Alcotest.(check (list string)) "help lists the table's ids" (List.map fst R.figures)
+    (figure_ids_in help)
+
 let test_export_roundtrip () =
   let dir = Filename.temp_file "psnexp" "" in
   Sys.remove dir;
@@ -409,5 +465,6 @@ let () =
           Alcotest.test_case "cdfs" `Slow test_report_cdfs_render;
           Alcotest.test_case "empty inputs" `Quick test_report_empty_inputs;
           Alcotest.test_case "quadrants" `Slow test_report_quadrants_render;
+          Alcotest.test_case "figure table" `Slow test_figure_table;
         ] );
     ]

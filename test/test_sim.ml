@@ -733,6 +733,18 @@ let test_checkpoint_resume () =
   Alcotest.(check (array int)) "resumed = uninterrupted" (Array.map (fun i -> i * i) input)
     resumed
 
+(* A plan naming only sites a sweep never reaches changes nothing: the
+   sweep under it, fanned out, is bit-identical to a sequential one
+   with no plan installed. *)
+let test_unrelated_plan_identical () =
+  let trace = runner_trace () in
+  let spec = runner_spec 4 in
+  let factory _ = epidemic in
+  let baseline = Runner.run_algorithm ~jobs:1 ~trace ~spec ~factory () in
+  with_failpoints "test.unrelated=error" (fun () ->
+      let planned = Runner.run_algorithm ~jobs:2 ~chunk:1 ~trace ~spec ~factory () in
+      Alcotest.(check bool) "metrics identical" true (Metrics.equal baseline planned))
+
 (* A negative checkpoint is a caller error whether or not a cache is
    given. *)
 let test_negative_checkpoint_rejected () =
@@ -1138,6 +1150,8 @@ let () =
           Alcotest.test_case "transient retries recover" `Quick test_parallel_retries_recover;
           Alcotest.test_case "permanent not retried" `Quick test_parallel_permanent_not_retried;
           Alcotest.test_case "checkpoint and resume" `Quick test_checkpoint_resume;
+          Alcotest.test_case "unrelated plan bit-identical" `Quick
+            test_unrelated_plan_identical;
           Alcotest.test_case "negative checkpoint rejected" `Quick
             test_negative_checkpoint_rejected;
           Alcotest.test_case "scratch reuse" `Quick test_engine_scratch_reuse;
